@@ -38,50 +38,48 @@ from .substructure import (
 from .wl import kwl_refine, wl_distinguish
 
 
+#: generator name -> (parameter count, builder from the parameters and the seed)
+_GENERATORS = {
+    "complete": (1, lambda p, seed: gen_complete(int(p[0]))),
+    "star": (1, lambda p, seed: gen_star(int(p[0]))),
+    "cycle": (1, lambda p, seed: gen_cycle(int(p[0]))),
+    "er": (2, lambda p, seed: gen_erdos_renyi(int(p[0]), float(p[1]), seed)),
+    "regular": (2, lambda p, seed: gen_random_regular(int(p[0]), int(p[1]), seed)),
+    "rooks": (0, lambda p, seed: gen_rooks_4x4()),
+    "shrikhande": (0, lambda p, seed: gen_shrikhande()),
+}
+
+
 def _parse_generator(spec: str, seed: int) -> Graph:
-    parts = spec.split(":")
-    name, params = parts[0], parts[1:]
-
-    def _want(n_params: int):
-        if len(params) != n_params:
-            raise ValueError(
-                f"generator {name!r} takes {n_params} parameter(s), got {len(params)}")
-
-    if name == "complete":
-        _want(1)
-        return gen_complete(int(params[0]))
-    if name == "star":
-        _want(1)
-        return gen_star(int(params[0]))
-    if name == "cycle":
-        _want(1)
-        return gen_cycle(int(params[0]))
-    if name == "er":
-        _want(2)
-        return gen_erdos_renyi(int(params[0]), float(params[1]), seed)
-    if name == "regular":
-        _want(2)
-        return gen_random_regular(int(params[0]), int(params[1]), seed)
-    if name == "rooks":
-        _want(0)
-        return gen_rooks_4x4()
-    if name == "shrikhande":
-        _want(0)
-        return gen_shrikhande()
-    raise ValueError(
-        f"unknown generator {name!r}; expected complete:n, star:n, cycle:n, "
-        "er:n:p, regular:n:d, rooks, or shrikhande")
+    name, *params = spec.split(":")
+    if name not in _GENERATORS:
+        raise ValueError(
+            f"unknown generator {name!r}; expected complete:n, star:n, cycle:n, "
+            "er:n:p, regular:n:d, rooks, or shrikhande")
+    n_params, build = _GENERATORS[name]
+    if len(params) != n_params:
+        raise ValueError(
+            f"generator {name!r} takes {n_params} parameter(s), got {len(params)}")
+    return build(params, seed)
 
 
-def _load_graph(ns: argparse.Namespace, flag_in: str = "infile",
-                flag_gen: str = "gen") -> Graph:
-    path = getattr(ns, flag_in, None)
-    gen = getattr(ns, flag_gen, None)
+def _load_graph(path: str | None, gen: str | None, seed: int) -> Graph:
+    """The graph from an edge-list file or from a generator spec, exactly
+    one of which is given."""
     if (path is None) == (gen is None):
         raise ValueError("provide exactly one of --in / --gen")
     if path is not None:
         return read_edge_list(path)
-    return _parse_generator(gen, ns.seed)
+    return _parse_generator(gen, seed)
+
+
+def _load_pair(ns: argparse.Namespace) -> tuple[Graph, Graph]:
+    """``--a`` and ``--b``: each names a generator when its name before the
+    first ``:`` is one, and an edge-list file otherwise."""
+    def one(spec: str) -> Graph:
+        is_gen = spec.split(":", 1)[0] in _GENERATORS
+        return _load_graph(None if is_gen else spec, spec if is_gen else None, ns.seed)
+    return one(ns.a), one(ns.b)
 
 
 def _emit(ns: argparse.Namespace, result: dict, csv_header: list[str],
@@ -108,7 +106,7 @@ def _emit(ns: argparse.Namespace, result: dict, csv_header: list[str],
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    g = _load_graph(ns)
+    g = _load_graph(ns.infile, ns.gen, ns.seed)
     if ns.kind == "triangle":
         values = incidence_triangles(g).counts.tolist()
     elif ns.kind == "4clique":
@@ -144,8 +142,7 @@ def _cmd_cover(ns: argparse.Namespace) -> int:
 
 
 def _cmd_wl(ns: argparse.Namespace) -> int:
-    g1 = _parse_generator(ns.a, ns.seed) if not ns.a.endswith(".txt") else read_edge_list(ns.a)
-    g2 = _parse_generator(ns.b, ns.seed) if not ns.b.endswith(".txt") else read_edge_list(ns.b)
+    g1, g2 = _load_pair(ns)
     verdict = wl_distinguish(g1, g2, ns.k)
     result = {
         "k": ns.k,
@@ -158,7 +155,9 @@ def _cmd_wl(ns: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
-    g = _load_graph(ns)
+    if ns.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {ns.seeds}")
+    g = _load_graph(ns.infile, ns.gen, ns.seed)
     augment = {"auto": None, "on": True, "off": False}[ns.augment]
     rows = []
     for i in range(ns.seeds):
@@ -210,8 +209,7 @@ def _cmd_coupon(ns: argparse.Namespace) -> int:
 
 
 def _cmd_distinguish(ns: argparse.Namespace) -> int:
-    g1 = _parse_generator(ns.a, ns.seed) if not ns.a.endswith(".txt") else read_edge_list(ns.a)
-    g2 = _parse_generator(ns.b, ns.seed) if not ns.b.endswith(".txt") else read_edge_list(ns.b)
+    g1, g2 = _load_pair(ns)
     witness = None
     plain = distinguish_by_aggregation(g1, g2, layers=ns.layers, seed=ns.seed,
                                        clique_channel=False)
@@ -268,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wl", help="colour-refinement verdict on two graphs")
     common(p, gen_input=False)
-    p.add_argument("--a", required=True, help="generator spec or .txt file")
-    p.add_argument("--b", required=True, help="generator spec or .txt file")
+    p.add_argument("--a", required=True, help="generator spec or edge-list file")
+    p.add_argument("--b", required=True, help="generator spec or edge-list file")
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=_cmd_wl)
 
@@ -292,8 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distinguish", help="separate two graphs by aggregation")
     common(p, gen_input=False)
-    p.add_argument("--a", required=True, help="generator spec or .txt file")
-    p.add_argument("--b", required=True, help="generator spec or .txt file")
+    p.add_argument("--a", required=True, help="generator spec or edge-list file")
+    p.add_argument("--b", required=True, help="generator spec or edge-list file")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--witness", choices=("auto", "none"), default="auto",
                    help="auto: add the 4-clique channel when degrees alone fail")

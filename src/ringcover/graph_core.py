@@ -89,15 +89,22 @@ class Graph:
         """Read-only boolean adjacency matrix."""
         return self._adj
 
+    def _node(self, v: int) -> int:
+        """``v`` itself; an id outside ``0..n-1`` is an error, never a
+        wrapped index."""
+        if not 0 <= v < self.node_count:
+            raise ValueError(f"node {v} out of range 0..{self.node_count - 1}")
+        return v
+
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._adj[i, j])
+        return bool(self._adj[self._node(i), self._node(j)])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Out-neighbours of ``v`` in ascending node order."""
-        return tuple(int(u) for u in np.flatnonzero(self._adj[v]))
+        return tuple(int(u) for u in np.flatnonzero(self._adj[self._node(v)]))
 
     def degree(self, v: int) -> int:
-        return int(self._adj[v].sum())
+        return int(self._adj[self._node(v)].sum())
 
     def degrees(self) -> np.ndarray:
         """All (out-)degrees as an integer vector."""
@@ -244,8 +251,6 @@ def induced_closed_neighborhood(g: Graph, v: int) -> InducedNeighborhood:
     """
     if g.directed:
         raise ValueError("closed neighbourhoods are defined for undirected graphs only")
-    if not (0 <= v < g.node_count):
-        raise ValueError(f"node {v} out of range")
     members = (v,) + g.neighbors(v)
     idx = np.asarray(members, dtype=np.int64)
     sub = Graph(g.adjacency[np.ix_(idx, idx)])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "compose",
     "order",
     "act",
+    "ring_powers",
     "generate_group",
     "arrangements",
     "coverage_report",
@@ -68,10 +69,7 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.image))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.image, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple((np.argsort(self.image) + 1).tolist()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, fixed points included, each cycle
@@ -191,14 +189,26 @@ def order(p: Permutation) -> int:
     return math.lcm(*(len(c) for c in p.cycles()))
 
 
+def ring_powers(g: Permutation) -> np.ndarray:
+    """All distinct powers of ``g`` as a ``(G, n)`` int array in power order.
+
+    Row ``k`` is the image of ``g**k`` (row 0 the identity), which is also
+    the ring that power seats.  Rows come by repeated indexing,
+    ``g**(k+1) = g ∘ g**k``, until the identity returns.
+    """
+    image = np.asarray(g.image, dtype=np.int64)
+    rows = [np.arange(1, g.degree + 1)]
+    nxt = image
+    while not np.array_equal(nxt, rows[0]):
+        rows.append(nxt)
+        nxt = image[nxt - 1]
+    return np.stack(rows)
+
+
 def generate_group(g: Permutation) -> PermutationGroup:
     """All distinct powers of ``g`` in power order, identity first."""
-    elements = [Permutation.identity(g.degree)]
-    current = g
-    while not current.is_identity():
-        elements.append(current)
-        current = compose(g, current)
-    return PermutationGroup(generator=g, elements=tuple(elements))
+    elements = tuple(Permutation(tuple(row)) for row in ring_powers(g).tolist())
+    return PermutationGroup(generator=g, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +276,7 @@ class CoverageReport:
 def coverage_report(arrs: Sequence[Arrangement], n: int) -> CoverageReport:
     """Tally pair coverage over a list of arrangements of ``1..n``.
 
+    The rings are stacked into one ``(G, n)`` array and tallied at once.
     Rings of one seat contribute nothing.  A pair seated adjacently twice
     inside one ring (only possible when ``n == 2``, where the ring closes back
     over the same pair) is still a single occurrence of that ring for the
@@ -274,45 +285,35 @@ def coverage_report(arrs: Sequence[Arrangement], n: int) -> CoverageReport:
     for a in arrs:
         if len(a.ring) != n:
             raise ValueError(f"arrangement {a.ring} is not on {n} labels")
+    rings = np.array([a.ring for a in arrs], dtype=np.int64).reshape(len(arrs), n)
+    if rings.size and (rings.min() < 1 or rings.max() > n):
+        raise ValueError(f"arrangement labels must lie in 1..{n}")
 
-    mult = np.zeros((n + 1, n + 1), dtype=np.int64)
-    covered = np.zeros((n + 1, n + 1), dtype=bool)  # unordered, indexed lo/hi
-    covered_after: dict[int, int] = {}
-    running = 0
+    count, side = len(arrs), n + 1
+    seats = n if n >= 2 else 0
+    heads = rings[:, :seats]
+    tails = np.roll(rings, -1, axis=1)[:, :seats]
+    ordered = np.bincount((heads * side + tails).ravel(), minlength=side * side)
+    unordered = np.minimum(heads, tails) * side + np.maximum(heads, tails)
+
+    # the first ring covering each unordered pair; count means never covered
+    first = np.full(side * side, count)
+    np.minimum.at(first, unordered.ravel(), np.repeat(np.arange(count), seats))
+    fresh = np.bincount(first[first < count], minlength=count)
+    covered_after = dict(zip(range(1, count + 1), np.cumsum(fresh).tolist()))
 
     block = max((n - 1) // 2, 0)
-    block_pair_sets: list[set[tuple[int, int]]] = []
+    lead = unordered[:block, : n - 1 if n % 2 == 0 else n]
+    # each (ring, pair) once, so a pair repeated inside one ring is no clash
+    seated = np.unique(lead + np.arange(len(lead))[:, None] * side * side)
+    disjoint = np.unique(seated % (side * side)).size == seated.size
 
-    for idx, arr in enumerate(arrs, start=1):
-        pairs = arr.ordered_pairs()
-        if pairs:
-            a = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-            b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-            np.add.at(mult, (a, b), 1)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            fresh = ~covered[lo, hi]
-            running += len(set(zip(lo[fresh].tolist(), hi[fresh].tolist())))
-            covered[lo, hi] = True
-        covered_after[idx] = running
-        if idx <= block:
-            chain = pairs[:-1] if n % 2 == 0 else pairs
-            block_pair_sets.append({(min(p), max(p)) for p in chain})
-
-    disjoint = True
-    seen: set[tuple[int, int]] = set()
-    for s in block_pair_sets:
-        if seen & s:
-            disjoint = False
-            break
-        seen |= s
-
-    rows, cols = np.nonzero(mult)
-    multiplicity = {
-        (int(i), int(j)): int(mult[i, j]) for i, j in zip(rows, cols)
-    }
+    ids = np.flatnonzero(ordered)
+    a, b = np.divmod(ids, side)
+    multiplicity = dict(zip(zip(a.tolist(), b.tolist()), ordered[ids].tolist()))
     return CoverageReport(
         n=n,
         unordered_pairs_covered_after=covered_after,
-        first_block_disjoint=disjoint,
+        first_block_disjoint=bool(disjoint),
         ordered_pair_multiplicity=multiplicity,
     )

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph_core import Graph
-from .perm_group import generate_group, sigma
+from .perm_group import ring_powers, sigma
 from .substructure import incidence_4cliques
 
 __all__ = [
@@ -93,42 +93,43 @@ class SeqAggregator:
         return None
 
     def run(self, seq: Sequence[np.ndarray]) -> np.ndarray:
+        """Fold one sequence; the single-sequence case of :meth:`fold`."""
         items = [np.asarray(x, dtype=float) for x in seq]
         if not items:
             raise ValueError("cannot aggregate an empty sequence")
         width = items[0].shape
         if any(x.shape != width for x in items):
             raise ValueError("sequence items must share one feature width")
+        return self.fold(np.stack(items)[None])[0]
 
+    def fold(self, seqs: np.ndarray) -> np.ndarray:
+        """Fold a batch of equal-length sequences at once.
+
+        ``seqs`` is ``(G, T, *width)``; row ``k`` of the result is the fold of
+        ``seqs[k]``.  One step runs for all G sequences together, so the
+        Python loop is over the T steps only.
+        """
         if self.mode == "linear_recurrence":
             alpha = self.params["alpha"]
-            state = np.zeros_like(items[0])
-            for x in items:
-                state = alpha * state + x
+            state = np.zeros_like(seqs[:, 0])
+            for t in range(seqs.shape[1]):
+                state = alpha * state + seqs[:, t]
             return state
+        if self.mode not in ("elman", "gin_recovery"):
+            raise ValueError(f"unknown aggregator mode {self.mode!r}")
 
-        if self.mode == "elman":
-            W, U, b = self.params["W"], self.params["U"], self.params["b"]
-            act = _ACTIVATIONS[self.params["activation"]]
-            if items[0].shape != (W.shape[1],):
-                raise ValueError(
-                    f"elman expects width {W.shape[1]}, got {items[0].shape}")
-            y = np.zeros(W.shape[0])
-            for h in items:
-                y = act(U @ y + W @ h + b)
-            return y
-
+        W, b = self.params["W"], self.params["b"]
+        if seqs.shape[2:] != (W.shape[1],):
+            raise ValueError(
+                f"{self.mode} expects width {W.shape[1]}, got {seqs.shape[2:]}")
         if self.mode == "gin_recovery":
-            W, b = self.params["W"], self.params["b"]
-            if items[0].shape != (W.shape[1],):
-                raise ValueError(
-                    f"gin_recovery expects width {W.shape[1]}, got {items[0].shape}")
-            acc = np.zeros(W.shape[0])
-            for h in items:
-                acc = acc + W @ h
-            return acc + b
-
-        raise ValueError(f"unknown aggregator mode {self.mode!r}")
+            return seqs.sum(axis=1) @ W.T + b
+        U, act = self.params["U"], _ACTIVATIONS[self.params["activation"]]
+        inputs = seqs @ W.T + b  # the W·h_t + b term of every step, up front
+        y = np.zeros((seqs.shape[0], W.shape[0]))
+        for t in range(seqs.shape[1]):
+            y = act(y @ U.T + inputs[:, t])
+        return y
 
 
 def linear_recurrence(seq: Sequence[np.ndarray], alpha: float) -> np.ndarray:
@@ -165,6 +166,13 @@ def _apply_self(w_self, h_v: np.ndarray) -> np.ndarray:
     return np.asarray(w_self, float) @ h_v
 
 
+def _rings(nbrs: list[int]) -> np.ndarray:
+    """The neighbour ids that every group element seats, one ring per row."""
+    if not nbrs:
+        return np.empty((1, 0), dtype=np.intp)
+    return np.asarray(nbrs, dtype=np.intp)[ring_powers(sigma(len(nbrs))) - 1]
+
+
 def aggregate_node(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
                    w_self, *, neighbor_order: Sequence[int] | None = None) -> np.ndarray:
     """Group-summed ring aggregation at one node.
@@ -172,25 +180,21 @@ def aggregate_node(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
     For each element ``p`` of the group generated by the ring shuffle on the
     ``n`` neighbours, the run consumes ``(h_{u_{p(1)}}, .., h_{u_{p(n)}},
     h_{u_{p(1)}})`` — the ring closed by repeating its first item — and the
-    runs are summed, plus ``w_self·h_v``.  An isolated node contributes only
-    the self term.  ``neighbor_order`` overrides the ascending ingestion
-    order (it must be a permutation of the neighbours); outputs are invariant
-    exactly when the override is the ingestion order pre-composed with a
-    group element.
+    runs are summed, plus ``w_self·h_v``.  All runs go through one
+    :meth:`SeqAggregator.fold`.  An isolated node contributes only the self
+    term.  ``neighbor_order`` overrides the ascending ingestion order (it
+    must be a permutation of the neighbours); outputs are invariant exactly
+    when the override is the ingestion order pre-composed with a group
+    element.
     """
     feats = _features_matrix(g, feats)
     nbrs = _ingestion_order(g, v, neighbor_order)
-    h_v = feats[v]
+    self_term = _apply_self(w_self, feats[v])
     if not nbrs:
-        return _apply_self(w_self, h_v)
-    n = len(nbrs)
-    total = None
-    for p in generate_group(sigma(n)):
-        ring = [nbrs[p(t) - 1] for t in range(1, n + 1)]
-        seq = [feats[u] for u in ring] + [feats[ring[0]]]
-        out = agg.run(seq)
-        total = out if total is None else total + out
-    return total + _apply_self(w_self, h_v)
+        return self_term
+    rings = _rings(nbrs)
+    seqs = feats[np.concatenate([rings, rings[:, :1]], axis=1)]
+    return agg.fold(seqs).sum(axis=0) + self_term
 
 
 def aggregate_node_merged(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
@@ -202,17 +206,9 @@ def aggregate_node_merged(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregato
     ``(h_v, h_v)``.
     """
     feats = _features_matrix(g, feats)
-    nbrs = _ingestion_order(g, v, neighbor_order)
-    h_v = feats[v]
-    if not nbrs:
-        return agg.run([h_v, h_v])
-    n = len(nbrs)
-    total = None
-    for p in generate_group(sigma(n)):
-        seq = [h_v] + [feats[nbrs[p(t) - 1]] for t in range(1, n + 1)] + [h_v]
-        out = agg.run(seq)
-        total = out if total is None else total + out
-    return total
+    rings = _rings(_ingestion_order(g, v, neighbor_order))
+    seqs = feats[np.pad(rings, ((0, 0), (1, 1)), constant_values=v)]
+    return agg.fold(seqs).sum(axis=0)
 
 
 def gin_layer_reference(g: Graph, v: int, feats: np.ndarray,

@@ -1,0 +1,230 @@
+"""The batched ring routes against the per-ring loops they replaced.
+
+The library stacks every ring of the group into one array and folds or
+tallies them together.  The reference functions below are the earlier
+implementations, one ring and one step at a time through tuple-backed
+permutations, kept here as oracles: coverage must come out equal, dict by
+dict in the same insertion order, and aggregation equal to ``rtol=1e-12``
+(the batched fold adds the same terms in another order).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringcover.graph_core import from_edge_list
+from ringcover.perm_group import (
+    Arrangement,
+    CoverageReport,
+    arrangements,
+    coverage_report,
+    generate_group,
+    sigma,
+)
+from ringcover.pg_aggregate import (
+    SeqAggregator,
+    aggregate_node,
+    aggregate_node_merged,
+)
+
+# ---------------------------------------------------------------------------
+# reference routes
+# ---------------------------------------------------------------------------
+
+
+def reference_coverage_report(arrs, n: int) -> CoverageReport:
+    """Ring-by-ring coverage tally."""
+    mult = np.zeros((n + 1, n + 1), dtype=np.int64)
+    covered = np.zeros((n + 1, n + 1), dtype=bool)  # unordered, indexed lo/hi
+    covered_after = {}
+    running = 0
+    block = max((n - 1) // 2, 0)
+    block_pair_sets = []
+    for idx, arr in enumerate(arrs, start=1):
+        pairs = arr.ordered_pairs()
+        if pairs:
+            a = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
+            b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+            np.add.at(mult, (a, b), 1)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            fresh = ~covered[lo, hi]
+            running += len(set(zip(lo[fresh].tolist(), hi[fresh].tolist())))
+            covered[lo, hi] = True
+        covered_after[idx] = running
+        if idx <= block:
+            chain = pairs[:-1] if n % 2 == 0 else pairs
+            block_pair_sets.append({(min(p), max(p)) for p in chain})
+
+    disjoint = True
+    seen = set()
+    for s in block_pair_sets:
+        if seen & s:
+            disjoint = False
+            break
+        seen |= s
+    rows, cols = np.nonzero(mult)
+    multiplicity = {(int(i), int(j)): int(mult[i, j]) for i, j in zip(rows, cols)}
+    return CoverageReport(n=n, unordered_pairs_covered_after=covered_after,
+                          first_block_disjoint=disjoint,
+                          ordered_pair_multiplicity=multiplicity)
+
+
+def reference_run(agg: SeqAggregator, seq) -> np.ndarray:
+    """One sequence, one step at a time, one matvec per step."""
+    p = agg.params
+    if agg.mode == "linear_recurrence":
+        state = np.zeros_like(seq[0])
+        for x in seq:
+            state = p["alpha"] * state + x
+        return state
+    if agg.mode == "elman":
+        act = np.tanh if p["activation"] == "tanh" else (lambda z: z)
+        y = np.zeros(p["W"].shape[0])
+        for h in seq:
+            y = act(p["U"] @ y + p["W"] @ h + p["b"])
+        return y
+    acc = np.zeros(p["W"].shape[0])
+    for h in seq:
+        acc = acc + p["W"] @ h
+    return acc + p["b"]
+
+
+def _reference_order(g, v, neighbor_order):
+    return list(g.neighbors(v)) if neighbor_order is None else list(neighbor_order)
+
+
+def reference_aggregate_node(g, v, feats, agg, w_self, *, neighbor_order=None):
+    """One run per group element, summed, plus the self term."""
+    nbrs = _reference_order(g, v, neighbor_order)
+    self_term = w_self @ feats[v]
+    if not nbrs:
+        return self_term
+    n = len(nbrs)
+    total = None
+    for p in generate_group(sigma(n)):
+        ring = [nbrs[p(t) - 1] for t in range(1, n + 1)]
+        out = reference_run(agg, [feats[u] for u in ring] + [feats[ring[0]]])
+        total = out if total is None else total + out
+    return total + self_term
+
+
+def reference_aggregate_node_merged(g, v, feats, agg, *, neighbor_order=None):
+    """One run per group element with the centre at both ends, summed."""
+    nbrs = _reference_order(g, v, neighbor_order)
+    h_v = feats[v]
+    if not nbrs:
+        return reference_run(agg, [h_v, h_v])
+    n = len(nbrs)
+    total = None
+    for p in generate_group(sigma(n)):
+        seq = [h_v] + [feats[nbrs[p(t) - 1]] for t in range(1, n + 1)] + [h_v]
+        out = reference_run(agg, seq)
+        total = out if total is None else total + out
+    return total
+
+
+# ---------------------------------------------------------------------------
+# coverage
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_report(got: CoverageReport, want: CoverageReport) -> None:
+    assert got == want
+    # equal dicts may still differ in insertion order, which JSON output shows
+    assert list(got.unordered_pairs_covered_after.items()) == \
+        list(want.unordered_pairs_covered_after.items())
+    assert list(got.ordered_pair_multiplicity.items()) == \
+        list(want.ordered_pair_multiplicity.items())
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_coverage_report_equals_ring_by_ring_tally(n):
+    arrs = arrangements(generate_group(sigma(n)))
+    _assert_same_report(coverage_report(arrs, n), reference_coverage_report(arrs, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.permutations(list(range(1, n + 1))), max_size=12))))
+def test_coverage_report_on_any_rings(case):
+    # arbitrary rings, not only the group's: repeats, clashes in the leading
+    # block and empty lists all go through both routes
+    n, rings = case
+    arrs = [Arrangement(ring=tuple(r)) for r in rings]
+    _assert_same_report(coverage_report(arrs, n), reference_coverage_report(arrs, n))
+
+
+def test_coverage_report_rejects_foreign_labels():
+    with pytest.raises(ValueError):
+        coverage_report([Arrangement(ring=(0, 1, 2))], 3)
+    with pytest.raises(ValueError):
+        coverage_report([Arrangement(ring=(1, 2))], 3)
+
+
+# ---------------------------------------------------------------------------
+# aggregation
+# ---------------------------------------------------------------------------
+
+
+def _aggregator(mode: str, width: int, rng: np.random.Generator) -> SeqAggregator:
+    scale = 0.5 / np.sqrt(width)
+    if mode == "linear_recurrence":
+        return SeqAggregator.linear_recurrence(alpha=rng.uniform(-1.0, 1.0))
+    if mode == "gin_recovery":
+        return SeqAggregator.gin_recovery(W=rng.normal(size=(width, width)),
+                                          b=rng.normal(size=width))
+    return SeqAggregator.elman(W=rng.normal(size=(width, width)) * scale,
+                               U=rng.normal(size=(width, width)) * scale,
+                               b=rng.normal(size=width) * 0.1,
+                               activation=mode.split("-")[1])
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * max(1.0, float(np.abs(want).max())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.integers(0, 12),
+       mode=st.sampled_from(["linear_recurrence", "gin_recovery",
+                             "elman-identity", "elman-tanh"]),
+       width=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_aggregation_equals_per_ring_loops(degree, mode, width, seed, data):
+    rng = np.random.default_rng(seed)
+    # the last node v has the drawn degree; the others carry random extra edges
+    n = degree + 3
+    v = n - 1
+    extra = [(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < 0.3]
+    g = from_edge_list(n, [(v, u) for u in range(degree)] + extra)
+    feats = rng.normal(size=(n, width))
+    agg = _aggregator(mode, width, rng)
+    w_self = rng.normal(size=(width, width))
+    order = data.draw(st.none() | st.permutations(list(g.neighbors(v))))
+
+    _assert_close(aggregate_node(g, v, feats, agg, w_self, neighbor_order=order),
+                  reference_aggregate_node(g, v, feats, agg, w_self,
+                                           neighbor_order=order))
+    _assert_close(aggregate_node_merged(g, v, feats, agg, neighbor_order=order),
+                  reference_aggregate_node_merged(g, v, feats, agg,
+                                                  neighbor_order=order))
+
+
+def test_batched_fold_repeats_bit_for_bit():
+    # the same inputs give the same bits however often, and in whatever
+    # order, the calls are made
+    rng = np.random.default_rng(5)
+    g = from_edge_list(14, [(0, u) for u in range(1, 14)])
+    feats = rng.normal(size=(14, 3))
+    agg = _aggregator("elman-tanh", 3, rng)
+    w_self = rng.normal(size=(3, 3))
+    first = aggregate_node(g, 0, feats, agg, w_self)
+    for v in range(1, 14):
+        aggregate_node_merged(g, v, feats, agg)
+    again = aggregate_node(g, 0, feats, agg, w_self)
+    assert first.tobytes() == again.tobytes()

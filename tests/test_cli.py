@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from ringcover.cli import main
-from ringcover.graph_core import gen_erdos_renyi, write_edge_list
+from ringcover.graph_core import gen_cycle, gen_erdos_renyi, write_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +198,32 @@ def test_wl_file_inputs(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "wl", "--a", str(a), "--b", str(b), "--k", "2")
     assert code == 0
     json.loads(out)  # shape is already pinned elsewhere; this must parse
+
+
+# --- malformed input ends in one error line --------------------------------------
+
+
+def test_node_outside_the_graph_is_reported(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--gen", "star:3", "--node", "9",
+                             "--r", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of range" in err
+
+
+def test_zero_seeds_is_reported(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--gen", "complete:4", "--node", "0",
+                             "--r", "100", "--seeds", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--seeds" in err
+
+
+def test_pair_inputs_read_any_file_name(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    write_edge_list(gen_cycle(6), path)
+    for command in ("wl", "distinguish"):
+        code, out, _ = run_cli(capsys, command, "--a", str(path), "--b", "cycle:6")
+        assert code == 0
+        assert json.loads(out)["result"]["distinguished"] is False
+        code, _, err = run_cli(capsys, command, "--a", str(tmp_path / "missing.edges"),
+                               "--b", "cycle:6")
+        assert code == 1 and err.startswith("error:")

@@ -37,6 +37,18 @@ def test_basic_accessors():
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 99])
+def test_node_ids_outside_the_graph_are_rejected(bad):
+    # a negative id must not wrap around to the last node
+    g = gen_star(3)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        g.neighbors(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        g.has_edge(0, bad)
+
+
 def test_directed_edges_are_one_way():
     g = from_edge_list(3, [(0, 1), (1, 2)], directed=True)
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
