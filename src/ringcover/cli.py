@@ -35,7 +35,7 @@ from .substructure import (
     incidence_triangles_directed,
     incidence_wedges,
 )
-from .wl import kwl_refine, wl_distinguish
+from .wl import wl_compare
 
 
 #: generator name -> (parameter count, builder from the parameters and the seed)
@@ -143,12 +143,12 @@ def _cmd_cover(ns: argparse.Namespace) -> int:
 
 def _cmd_wl(ns: argparse.Namespace) -> int:
     g1, g2 = _load_pair(ns)
-    verdict = wl_distinguish(g1, g2, ns.k)
+    verdict, counts_a, counts_b = wl_compare(g1, g2, ns.k)
     result = {
         "k": ns.k,
         "distinguished": verdict,
-        "class_counts_a": list(kwl_refine(g1, ns.k).class_counts),
-        "class_counts_b": list(kwl_refine(g2, ns.k).class_counts),
+        "class_counts_a": list(counts_a),
+        "class_counts_b": list(counts_b),
     }
     _emit(ns, result, ["k", "distinguished"], [[ns.k, verdict]])
     return 0
@@ -304,7 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refuses at once an array that can never fit,
+        # e.g. the dense adjacency of a file whose header promises 10⁹ nodes
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 The walk never leaves the closed neighbourhood of the target node ``v``: the
 subgraph on ``{v} ∪ N(v)``, in which the centre is an ordinary walk node.  Two
-running statistics are kept over the recorded steps ``X_1 .. X_r``:
+statistics are taken over the recorded steps ``X_1 .. X_r``:
 
 * ``Y1`` — over interior steps (2 ≤ k ≤ r−1), the mean of ``a_k · d'(X_k)``,
   where ``a_k`` is 1 exactly when the step closes a triangle through the
@@ -31,6 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .graph_core import (
     Graph,
@@ -109,13 +111,17 @@ def simple_random_walk(nb: InducedNeighborhood, start: int, r: int, seed: int) -
     nbrs = _neighbor_lists(g)
     if not nbrs[start]:
         raise ValueError(f"start node {start} is isolated; the walk cannot move")
-    rng = random.Random(seed)
-    path = [start]
-    x = start
-    for _ in range(r):
+    return [start] + _walk(nbrs, start, r, random.Random(seed))
+
+
+def _walk(nbrs: list[tuple[int, ...]], x: int, r: int, rng: random.Random) -> list[int]:
+    """``[X_1, .., X_r]`` from ``X_0 = x``, one ``rng.random()`` draw per step."""
+    rand = rng.random
+    path = [0] * r
+    for k in range(r):
         options = nbrs[x]
-        x = options[int(rng.random() * len(options))]
-        path.append(x)
+        x = options[int(rand() * len(options))]
+        path[k] = x
     return path
 
 
@@ -208,24 +214,16 @@ def estimate_incidence_triangles(g: Graph, v: int, cfg: WalkConfig) -> EstimateR
                 break
 
     burn_in = max(16, center_degree)
-    for _ in range(burn_in):
-        options = nbrs[x]
-        x = options[int(rng.random() * len(options))]
-
     r = cfg.steps
-    y1_sum = 0.0
-    y2_sum = 0.0
-    prev2 = prev1 = -1
-    for k in range(1, r + 1):
-        options = nbrs[x]
-        x = options[int(rng.random() * len(options))]
-        y2_sum += 1.0 / degrees[x]
-        if k >= 3 and adj[prev2, x] and (prev1 == center or prev2 == center or x == center):
-            y1_sum += degrees[prev1]
-        prev2, prev1 = prev1, x
-
-    y1 = y1_sum / (r - 2)
-    y2 = y2_sum / r
+    # Reduce the recorded steps X_1..X_r, the path after the burn-in.
+    # np.cumsum adds in path order, so both sums are bit for bit the running
+    # sums of a step-by-step loop (a pairwise np.sum would not be).
+    steps = np.array(_walk(nbrs, x, burn_in + r, rng)[burn_in:])
+    deg = np.array(degrees, dtype=np.float64)
+    before, mid, after = steps[:-2], steps[1:-1], steps[2:]
+    closes = adj[before, after] & ((before == center) | (mid == center) | (after == center))
+    y1 = float(np.cumsum(np.where(closes, deg[mid], 0.0))[-1]) / (r - 2)
+    y2 = float(np.cumsum(1.0 / deg[steps])[-1]) / r
     z0 = (center_degree + 1) / 6.0 * y1 / y2
     if augment:
         z0 -= d0

@@ -2,10 +2,18 @@
 
 ``tau[v]`` counts the triangles a node v sits in, which is the same thing as
 the number of edges among its neighbours — the quantity every expressivity
-argument in this package leans on.  The fast paths work on packed bit rows
-(population count of N(u) ∩ N(v)); the ``brute_force_*`` twins enumerate node
-tuples directly and exist so tests never compare an implementation against
-itself.
+argument in this package leans on.  ``incidence_triangles`` works on packed
+bit rows (population count of N(u) ∩ N(v)); the ``brute_force_*`` twins
+enumerate node tuples directly and exist so tests never compare an
+implementation against itself.
+
+The matrix routes (``total_triangles``, ``incidence_triangles_directed``,
+``incidence_4cliques``) multiply 0/1 matrices in float64, where BLAS runs,
+and still return exact integers: on m nodes every entry of ``A²`` is at most
+m, every entry of ``A² ⊙ A`` too, and every partial sum of those entries at
+most m³.  Integers up to 2⁵³ are exact in float64, so the counts are exact
+while m³ < 2⁵³ (m ≤ 208063); :func:`_require_exact_in_float64` refuses larger
+inputs instead of rounding.
 """
 
 from __future__ import annotations
@@ -57,6 +65,15 @@ class CountVector:
         return len(self.counts)
 
 
+def _require_exact_in_float64(n: int) -> None:
+    """Refuse a matrix route whose sums could pass 2⁵³ on ``n`` nodes, where
+    float64 stops holding every integer."""
+    if n**3 >= 2**53:
+        raise ValueError(
+            f"{n} nodes is too many for exact float64 counting (n³ must stay "
+            "below 2**53)")
+
+
 def _require_undirected(g: Graph, what: str) -> None:
     if g.directed:
         raise ValueError(f"{what} is defined for undirected graphs; "
@@ -91,26 +108,33 @@ def incidence_triangles_directed(g: Graph) -> CountVector:
     """
     if not g.directed:
         raise ValueError("incidence_triangles_directed needs a directed graph")
-    a = g.adjacency.astype(np.int64)
+    _require_exact_in_float64(g.node_count)
+    a = g.adjacency.astype(np.float64)
     closing = (a @ a) * a.T
-    return CountVector(kind="directed_triangle", counts=closing.sum(axis=1))
+    return CountVector(kind="directed_triangle",
+                       counts=closing.sum(axis=1).astype(np.int64))
 
 
 def total_triangles(g: Graph) -> int:
-    """Number of triangles in the whole graph, ``tr(A³)/6``.
+    """Number of triangles in the whole graph, ``tr(A³)/6 = Σ(A² ⊙ A)/6``.
 
-    Deliberately computed through the matrix power rather than from
-    :func:`incidence_triangles`, so the identity ``total = Σ tau_v / 3`` is a
-    genuine two-route consistency check.
+    One float64 matmul: ``tr(A³) = Σ_ij (A²)_ij A_ji`` and A is symmetric.
+    Exact below 2⁵³ (see the module docstring).  Deliberately computed
+    through the matrix product rather than from :func:`incidence_triangles`,
+    so the identity ``total = Σ tau_v / 3`` is a genuine two-route
+    consistency check.
     """
     _require_undirected(g, "total_triangles")
-    a = g.adjacency.astype(np.int64)
-    return int(np.trace(a @ a @ a)) // 6
+    _require_exact_in_float64(g.node_count)
+    a = g.adjacency.astype(np.float64)
+    return int((a @ a * a).sum()) // 6
 
 
 def incidence_4cliques(g: Graph) -> CountVector:
-    """4-cliques through each node: triangles inside the neighbourhood of v."""
+    """4-cliques through each node: triangles inside the neighbourhood of v,
+    ``Σ(S² ⊙ S)/6`` on the neighbourhood's adjacency S in float64."""
     _require_undirected(g, "incidence_4cliques")
+    _require_exact_in_float64(g.node_count)
     adj = g.adjacency
     n = g.node_count
     counts = np.zeros(n, dtype=np.int64)
@@ -118,8 +142,8 @@ def incidence_4cliques(g: Graph) -> CountVector:
         nbrs = np.flatnonzero(adj[v])
         if nbrs.size < 3:
             continue
-        sub = adj[np.ix_(nbrs, nbrs)].astype(np.int64)
-        counts[v] = int(np.trace(sub @ sub @ sub)) // 6
+        sub = adj[np.ix_(nbrs, nbrs)].astype(np.float64)
+        counts[v] = int((sub @ sub * sub).sum()) // 6
     return CountVector(kind="four_clique", counts=counts)
 
 

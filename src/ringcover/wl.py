@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_TUPLE_BUDGET",
     "wl1_refine",
     "kwl_refine",
+    "wl_compare",
     "wl_distinguish",
 ]
 
@@ -257,13 +258,34 @@ def wl_distinguish(g1: Graph, g2: Graph, k: int,
     equal node counts — on different sizes the question answers itself and a
     caller comparing histograms would silently get nonsense.
     """
+    return wl_compare(g1, g2, k, budget)[0]
+
+
+def wl_compare(g1: Graph, g2: Graph, k: int, budget: int = DEFAULT_TUPLE_BUDGET
+               ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """The verdict of :func:`wl_distinguish` and both graphs'
+    ``kwl_refine(g, k).class_counts``, all from one joint refinement.
+
+    Within one graph, which nodes (or tuples) share a colour in a round
+    depends on that graph alone, so the joint run refines each graph as a
+    run over it alone would.  It only goes on longer, until no graph splits a
+    class; a run over one graph stops at the first round that adds no class,
+    so each graph's counts are cut there.
+    """
     if g1.node_count != g2.node_count:
         raise ValueError("wl_distinguish expects graphs on the same node count")
     h1, h2 = _joint_histograms([g1, g2], k, budget)
     rounds = max(len(h1.iterations), len(h2.iterations))
-    for t in range(rounds):
-        a = h1.iterations[min(t, len(h1.iterations) - 1)]
-        b = h2.iterations[min(t, len(h2.iterations) - 1)]
-        if a != b:
-            return True
-    return False
+    separated = any(
+        h1.iterations[min(t, len(h1.iterations) - 1)]
+        != h2.iterations[min(t, len(h2.iterations) - 1)]
+        for t in range(rounds))
+    return separated, _solo_class_counts(h1), _solo_class_counts(h2)
+
+
+def _solo_class_counts(h: ColorHistogram) -> tuple[int, ...]:
+    counts = h.class_counts
+    for t in range(1, len(counts)):
+        if counts[t] == counts[t - 1]:
+            return counts[: t + 1]
+    return counts

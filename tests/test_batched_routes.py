@@ -1,21 +1,36 @@
-"""The batched ring routes against the per-ring loops they replaced.
+"""The batched and BLAS routes against the loops they replaced.
 
 The library stacks every ring of the group into one array and folds or
-tallies them together.  The reference functions below are the earlier
-implementations, one ring and one step at a time through tuple-backed
-permutations, kept here as oracles: coverage must come out equal, dict by
-dict in the same insertion order, and aggregation equal to ``rtol=1e-12``
-(the batched fold adds the same terms in another order).
+tallies them together, counts substructures with float64 matrix products,
+and reduces a recorded walk path with numpy.  The reference functions below
+are the earlier implementations, kept here as oracles:
+
+* coverage must come out equal, dict by dict in the same insertion order,
+  and aggregation equal to ``rtol=1e-12`` (the batched fold adds the same
+  terms in another order);
+* the counts equal the int64 matrix powers exactly;
+* the walk estimate equals the step-by-step running sums field for field.
 """
 
 from __future__ import annotations
+
+import random
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcover.graph_core import from_edge_list
+from ringcover.graph_core import (
+    Graph,
+    add_artificial_apex,
+    from_edge_list,
+    gen_complete,
+    gen_erdos_renyi,
+    gen_star,
+    induced_closed_neighborhood,
+)
 from ringcover.perm_group import (
     Arrangement,
     CoverageReport,
@@ -28,6 +43,16 @@ from ringcover.pg_aggregate import (
     SeqAggregator,
     aggregate_node,
     aggregate_node_merged,
+)
+from ringcover.rw_estimator import (
+    EstimateResult,
+    WalkConfig,
+    estimate_incidence_triangles,
+)
+from ringcover.substructure import (
+    incidence_4cliques,
+    incidence_triangles_directed,
+    total_triangles,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,3 +253,158 @@ def test_batched_fold_repeats_bit_for_bit():
         aggregate_node_merged(g, v, feats, agg)
     again = aggregate_node(g, 0, feats, agg, w_self)
     assert first.tobytes() == again.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# exact counts: float64 BLAS against int64 matrix powers
+# ---------------------------------------------------------------------------
+
+
+def reference_total_triangles(g) -> int:
+    a = g.adjacency.astype(np.int64)
+    return int(np.trace(a @ a @ a)) // 6
+
+
+def reference_incidence_triangles_directed(g) -> np.ndarray:
+    a = g.adjacency.astype(np.int64)
+    return ((a @ a) * a.T).sum(axis=1)
+
+
+def reference_4cliques_at(g, v: int) -> int:
+    """Triangles inside the neighbourhood of v, by an int64 cube."""
+    nbrs = np.flatnonzero(g.adjacency[v])
+    if nbrs.size < 3:
+        return 0
+    sub = g.adjacency[np.ix_(nbrs, nbrs)].astype(np.int64)
+    return int(np.trace(sub @ sub @ sub)) // 6
+
+
+@st.composite
+def graphs(draw, directed: bool, max_nodes: int = 24):
+    n = draw(st.integers(1, max_nodes))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < p
+    if not directed:
+        adj = np.triu(adj, 1)
+        adj = adj | adj.T
+    np.fill_diagonal(adj, False)
+    return Graph(adj, directed=directed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(directed=False))
+def test_undirected_counts_equal_int64_powers(g):
+    assert total_triangles(g) == reference_total_triangles(g)
+    want = [reference_4cliques_at(g, v) for v in range(g.node_count)]
+    assert incidence_4cliques(g).counts.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(directed=True))
+def test_directed_counts_equal_int64_powers(g):
+    got = incidence_triangles_directed(g).counts
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_incidence_triangles_directed(g).tolist()
+
+
+def test_complete_graph_counts_at_n300():
+    # every entry of A² is n−2, its largest for a simple graph
+    n = 300
+    g = gen_complete(n)
+    assert total_triangles(g) == reference_total_triangles(g) == comb(n, 3)
+    cliques = incidence_4cliques(g).counts
+    assert (cliques == reference_4cliques_at(g, 0)).all()
+    assert cliques[0] == comb(n - 1, 3)
+    full = Graph(~np.eye(n, dtype=bool), directed=True)
+    got = incidence_triangles_directed(full).counts
+    assert got.tolist() == reference_incidence_triangles_directed(full).tolist()
+    assert (got == (n - 1) * (n - 2)).all()
+
+
+# ---------------------------------------------------------------------------
+# the walk estimator: recorded path reduced with numpy against running sums
+# ---------------------------------------------------------------------------
+
+
+def reference_estimate(g, v: int, cfg: WalkConfig) -> EstimateResult:
+    """One draw per step, both statistics summed as the walk goes."""
+    d0 = g.degree(v)
+    nb = induced_closed_neighborhood(g, v)
+    internal_edges = nb.subgraph.edge_count - d0
+    augment = cfg.augment if cfg.augment is not None else internal_edges == 0
+    if augment:
+        nb = add_artificial_apex(nb)
+    walk_graph = nb.subgraph
+    adj = walk_graph.adjacency
+    nbrs = [walk_graph.neighbors(u) for u in range(walk_graph.node_count)]
+    degrees = [len(x) for x in nbrs]
+    center = nb.center
+    center_degree = degrees[center]
+
+    rng = random.Random(cfg.seed)
+    if cfg.start_policy == "uniform":
+        x = int(rng.random() * walk_graph.node_count)
+    else:
+        pick = rng.random() * sum(degrees)
+        acc = 0.0
+        x = walk_graph.node_count - 1
+        for i, d in enumerate(degrees):
+            acc += d
+            if pick < acc:
+                x = i
+                break
+    for _ in range(max(16, center_degree)):
+        options = nbrs[x]
+        x = options[int(rng.random() * len(options))]
+
+    r = cfg.steps
+    y1_sum = 0.0
+    y2_sum = 0.0
+    prev2 = prev1 = -1
+    for k in range(1, r + 1):
+        options = nbrs[x]
+        x = options[int(rng.random() * len(options))]
+        y2_sum += 1.0 / degrees[x]
+        if k >= 3 and adj[prev2, x] and (prev1 == center or prev2 == center or x == center):
+            y1_sum += degrees[prev1]
+        prev2, prev1 = prev1, x
+
+    y1 = y1_sum / (r - 2)
+    y2 = y2_sum / r
+    z0 = (center_degree + 1) / 6.0 * y1 / y2
+    if augment:
+        z0 -= d0
+    return EstimateResult(z0=z0, y1=y1, y2=y2, steps_used=r, augmented=augment)
+
+
+PAW = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+WALK_GRAPHS = [(PAW, 0), (PAW, 3), (gen_star(5), 0), (gen_complete(5), 1),
+               (gen_erdos_renyi(40, 0.3, seed=4), 7)]
+
+
+@pytest.mark.parametrize("g,v", WALK_GRAPHS)
+@pytest.mark.parametrize("augment", [None, True, False])
+@pytest.mark.parametrize("start_policy", ["uniform", "degree_proportional"])
+@pytest.mark.parametrize("steps", [3, 4, 257])
+def test_walk_estimate_equals_running_sums(g, v, augment, start_policy, steps):
+    for seed in range(24):
+        cfg = WalkConfig(steps=steps, seed=seed, augment=augment,
+                         start_policy=start_policy)
+        assert estimate_incidence_triangles(g, v, cfg) == reference_estimate(g, v, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=graphs(directed=False, max_nodes=16), data=st.data())
+def test_walk_estimate_equals_running_sums_on_any_graph(g, data):
+    live = np.flatnonzero(g.degrees())
+    if live.size == 0:
+        return
+    v = int(data.draw(st.sampled_from(live.tolist())))
+    cfg = WalkConfig(steps=data.draw(st.integers(3, 40) | st.integers(1000, 5000)),
+                     seed=data.draw(st.integers(0, 2**32 - 1)),
+                     augment=data.draw(st.sampled_from([None, True, False])),
+                     start_policy=data.draw(st.sampled_from(["uniform",
+                                                             "degree_proportional"])))
+    # long sums of 1/d are where a pairwise reduction would differ in the last bits
+    assert estimate_incidence_triangles(g, v, cfg) == reference_estimate(g, v, cfg)

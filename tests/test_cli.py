@@ -5,12 +5,17 @@ real ``python3 -m ringcover`` to pin down the module entry point and process
 exit codes.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ringcover import wl
 from ringcover.cli import main
 from ringcover.graph_core import gen_cycle, gen_erdos_renyi, write_edge_list
 
@@ -217,6 +222,14 @@ def test_zero_seeds_is_reported(capsys):
     assert err.startswith("error:") and "--seeds" in err
 
 
+def test_impossible_graph_size_is_reported(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0 u\n")  # 10¹⁸ bytes dense: refused at once
+    code, out, err = run_cli(capsys, "count", "--in", str(path), "--kind", "triangle")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_pair_inputs_read_any_file_name(tmp_path, capsys):
     path = tmp_path / "g.edges"
     write_edge_list(gen_cycle(6), path)
@@ -227,3 +240,137 @@ def test_pair_inputs_read_any_file_name(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--a", str(tmp_path / "missing.edges"),
                                "--b", "cycle:6")
         assert code == 1 and err.startswith("error:")
+
+
+def test_wl_refines_once(monkeypatch, capsys):
+    calls = []
+    joint = wl._joint_histograms
+
+    def spy(graphs, k, budget):
+        calls.append(len(graphs))
+        return joint(graphs, k, budget)
+
+    monkeypatch.setattr(wl, "_joint_histograms", spy)
+    code, out, _ = run_cli(capsys, "wl", "--a", "rooks", "--b", "shrikhande", "--k", "2")
+    assert code == 0
+    assert calls == [2]
+    result = json.loads(out)["result"]
+    assert result["distinguished"] is False
+    assert result["class_counts_a"] == result["class_counts_b"]
+
+
+def test_wl_class_counts_follow_their_graph(capsys):
+    _, out, _ = run_cli(capsys, "wl", "--a", "star:5", "--b", "cycle:6")
+    result = json.loads(out)["result"]
+    assert result["class_counts_a"] == [1, 2, 2]
+    assert result["class_counts_b"] == [1, 1]
+
+
+# --- fuzz: any argv ends in output or in one error line --------------------------
+
+# about half of each draw is well formed, so the commands also run to the end
+_NUMBERS = st.sampled_from(["3", "4", "6"]) | st.sampled_from(["-2", "0", "1", "2", "2.5",
+                                                              "x", ""])
+_PROBS = st.sampled_from(["0", "0.3", "1", "1.5", "-0.2", "nan", "inf", "x"])
+_GENERATORS = st.one_of(
+    st.sampled_from(["complete:4", "cycle:4", "cycle:6", "star:3", "star:5", "er:6:0.5",
+                     "regular:6:2", "regular:6:3", "rooks", "shrikhande"]),
+    st.builds("complete:{}".format, _NUMBERS),
+    st.builds("star:{}".format, _NUMBERS),
+    st.builds("cycle:{}".format, _NUMBERS),
+    st.builds("er:{}:{}".format, _NUMBERS, _PROBS),
+    st.builds("regular:{}:{}".format, _NUMBERS, _NUMBERS),
+    st.sampled_from(["rooks", "shrikhande", "rooks:1", "complete", "er:4",
+                     "complete:2:3", "nope:3", "", ":"]),
+)
+_FILES = {
+    "undirected.txt": "7 8 u\n0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 6\n6 3\n",
+    "directed.txt": "5 6 d\n0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n",
+    "single.txt": "1 0 u\n",
+    "empty.txt": "",
+    "bad_header.txt": "3 2 x\n0 1\n1 2\n",
+    "short.txt": "4 3 u\n0 1\n1 2\n",
+    "out_of_range.txt": "3 2 u\n0 1\n1 7\n",
+    "self_loop.txt": "3 1 u\n1 1\n",
+    "words.txt": "three 1 u\n0 1\n",
+    "no_nodes.txt": "0 0 u\n",
+    # a dense adjacency of 10¹⁸ bytes: the allocation fails at once, nothing is touched
+    "huge.txt": "1000000000 0 u\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FILES.items():
+        (d / name).write_text(text)
+    (d / "latin1.txt").write_bytes(b"3 1 u\n0 \xff\n")
+    (d / "folder").mkdir()
+    return d
+
+
+def _argvs(d):
+    # Options that argparse types (--n of cover, --k, --r, ...) get integers:
+    # argparse answers a mistyped value with its usage and exit 2, which
+    # test_process_exit_codes pins.  Everything the program parses itself
+    # (generator specs, --n of coupon, files) is drawn malformed as well.
+    files = st.sampled_from(sorted(_FILES) + ["latin1.txt", "folder", "missing.txt"]
+                            ).map(lambda name: str(d / name))
+    graph = _GENERATORS | files
+    ints = st.integers(-2, 9).map(str)
+    seed = st.just([]) | st.builds(lambda s: ["--seed", s], st.sampled_from(["-1", "0", "3"]))
+    out = st.sampled_from([[], ["--out", "csv"], ["--out", "json"]])
+    source = st.one_of(
+        st.builds(lambda g: ["--gen", g], _GENERATORS),
+        st.builds(lambda g: ["--gen", g], _GENERATORS),
+        st.builds(lambda f: ["--in", f], files),
+        st.builds(lambda g, f: ["--gen", g, "--in", f], _GENERATORS, files),
+        st.just([]),
+    )
+
+    def cmd(name, *parts):
+        return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+    def opt(flag, values):
+        return values.map(lambda v: [flag, v])
+
+    def maybe(flag, values):
+        return st.just([]) | opt(flag, values)
+
+    kinds = st.sampled_from(["triangle", "4clique", "wedge", "clustering",
+                             "directed-triangle"])
+    return st.one_of(
+        cmd("count", source, opt("--kind", kinds), seed, out),
+        cmd("cover", opt("--n", ints),
+            maybe("--emit", st.sampled_from(["report", "arrangements"])), out),
+        cmd("wl", opt("--a", graph), opt("--b", graph), maybe("--k", st.integers(-1, 4).map(str)),
+            seed, out),
+        cmd("estimate", source, opt("--node", st.integers(0, 3).map(str) | ints),
+            opt("--r", st.integers(3, 60).map(str) | st.integers(-1, 2).map(str)),
+            maybe("--seeds", st.integers(-1, 3).map(str)),
+            maybe("--augment", st.sampled_from(["auto", "on", "off"])),
+            maybe("--start", st.sampled_from(["uniform", "degree_proportional"])), seed, out),
+        cmd("coupon",
+            opt("--n", st.sampled_from(["-3", "0", "1", "2", "5", "3:6", "6:3", "2:8:3", "2:8:0",
+                                        "2:8:-1", "1:2:3:4", "x", ""])),
+            maybe("--trials", st.integers(-1, 5).map(str)),
+            st.sampled_from([[], ["--directed"]]), seed, out),
+        cmd("distinguish", opt("--a", graph), opt("--b", graph),
+            maybe("--layers", st.integers(-1, 3).map(str)),
+            maybe("--witness", st.sampled_from(["auto", "none"])), seed, out),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, data):
+    argv = data.draw(_argvs(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out and not err
+    else:
+        assert code == 1, argv
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)

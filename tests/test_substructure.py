@@ -16,6 +16,7 @@ from ringcover.graph_core import (
 )
 from ringcover.substructure import (
     BRUTE_FORCE_BUDGET,
+    _require_exact_in_float64,
     brute_force_incidence_4cliques,
     brute_force_incidence_triangles,
     clustering_coefficients,
@@ -137,3 +138,12 @@ def test_count_vector_api():
     assert len(cv) == 5
     assert cv[2] == 6
     assert cv.total == 30
+
+
+def test_float64_exactness_bound():
+    # 208063³ < 2⁵³ <= 208064³; no graph of that size is built
+    for n in (1, 2000, 208062, 208063):
+        _require_exact_in_float64(n)
+    for n in (208064, 208065, 10**6):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            _require_exact_in_float64(n)

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcover.graph_core import (
+    Graph,
     from_edge_list,
     gen_complete,
     gen_cycle,
@@ -19,7 +22,14 @@ from ringcover.graph_core import (
     gen_shrikhande,
     gen_star,
 )
-from ringcover.wl import DEFAULT_TUPLE_BUDGET, kwl_refine, wl1_refine, wl_distinguish
+from ringcover.wl import (
+    DEFAULT_TUPLE_BUDGET,
+    _joint_histograms,
+    kwl_refine,
+    wl1_refine,
+    wl_compare,
+    wl_distinguish,
+)
 
 
 def _two_triangles():
@@ -114,3 +124,44 @@ def test_k3_sees_what_k1_cannot():
     assert not wl_distinguish(g1, g2, k=1)
     assert not wl_distinguish(g1, g2, k=2)
     assert wl_distinguish(g1, g2, k=3)
+
+
+@st.composite
+def _pairs(draw):
+    """k, then two graphs on the same node count, both directed or both not."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, {1: 12, 2: 9, 3: 6}[k]))
+    directed = draw(st.booleans())
+    out = []
+    for _ in range(2):
+        p = draw(st.sampled_from([0.0, 0.2, 0.4, 0.7, 1.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        adj = rng.random((n, n)) < p
+        if not directed:
+            adj = np.triu(adj, 1)
+            adj = adj | adj.T
+        np.fill_diagonal(adj, False)
+        out.append(Graph(adj, directed=directed))
+    return k, out[0], out[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs())
+def test_compare_counts_equal_solo_refinement(case):
+    # the joint run goes on until both graphs are stable; cut where each
+    # graph's own run stops, its counts are the solo counts
+    k, g1, g2 = case
+    verdict, counts_a, counts_b = wl_compare(g1, g2, k)
+    assert verdict == wl_distinguish(g1, g2, k)
+    assert counts_a == kwl_refine(g1, k).class_counts
+    assert counts_b == kwl_refine(g2, k).class_counts
+
+
+def test_compare_cuts_the_graph_that_stabilises_first():
+    star, path = gen_star(3), from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    verdict, counts_star, counts_path = wl_compare(star, path, 1)
+    assert verdict
+    assert counts_star == (1, 2, 2) == kwl_refine(star, 1).class_counts
+    assert counts_path == kwl_refine(path, 1).class_counts
+    joint_star, _ = _joint_histograms([star, path], 1, DEFAULT_TUPLE_BUDGET)
+    assert joint_star.class_counts == (1, 2, 2, 2)  # the joint run went on
