@@ -179,16 +179,22 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    parts = [int(x) for x in text.split(":")]
-    if len(parts) == 1:
-        return parts
-    if len(parts) == 2:
-        lo, hi = parts
-        return list(range(lo, hi + 1))
+    usage = f"bad range {text!r}; use n, lo:hi, or lo:hi:step"
+    try:
+        parts = [int(x) for x in text.split(":")]
+    except ValueError:
+        raise ValueError(usage) from None
+    if len(parts) > 3:
+        raise ValueError(usage)
+    lo, hi, step = parts[0], parts[-1], 1
     if len(parts) == 3:
-        lo, hi, step = parts
-        return list(range(lo, hi + 1, step))
-    raise ValueError(f"bad range {text!r}; use n, lo:hi, or lo:hi:step")
+        hi, step = parts[1], parts[2]
+    if step < 1:
+        raise ValueError(f"bad range {text!r}: the step must be at least 1")
+    values = list(range(lo, hi + 1, step))
+    if not values:
+        raise ValueError(f"empty range {text!r}: lo must not exceed hi")
+    return values
 
 
 def _cmd_coupon(ns: argparse.Namespace) -> int:

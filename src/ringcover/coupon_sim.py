@@ -20,6 +20,15 @@ of rounds until full coverage is the covering time.  Those draws are
 correlated within a round, so the k-coupon value with k = n−1 is only a
 numerically-supported stand-in, which is exactly how it is treated by the
 consistency checks.
+
+A trial runs in two phases.  It shuffles whole orderings in blocks, with
+pair ids ``u·n + v`` in int32 (hence n ≤ 46340) and one coverage count per
+block, until a block boundary leaves at most n/4 pairs uncovered.  From then
+on it draws only the positions of the labels those pairs touch, which is
+exact in distribution (`_cover_time_one` gives the argument) and costs a few
+µs per ordering at n = 1000 instead of ~20 µs for a whole shuffle.  Trial t
+is seeded as ``(seed, t)`` and starts from reset buffers, so it depends on
+nothing else.
 """
 
 from __future__ import annotations
@@ -54,6 +63,12 @@ class SimulationResult:
     mean_cover_time: float
     stddev: float
     seed: int
+    #: work counters, summed over the trials: orderings shuffled whole, and
+    #: orderings of which only the tail phase's labels were placed.  Both
+    #: count every row drawn, so they add up to at least the trials' total
+    #: covering time.
+    whole_orderings: int
+    tail_orderings: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,61 +248,175 @@ def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
 # covering simulation
 # ---------------------------------------------------------------------------
 
+#: Above this n the pair id ``u·n + v`` no longer fits in int32.
+MAX_SIMULATED_N = 46340
+
+
+def _tail_phase(n: int, directed: bool, rng: np.random.Generator,
+                pu: np.ndarray, pv: np.ndarray, pos: np.ndarray) -> tuple[int, int]:
+    """Orderings drawn until every pair ``(pu[i], pv[i])`` has been seated,
+    and the rows drawn to find out (the last block runs past that point).
+
+    Only the positions of the k labels that the pairs touch are drawn: a
+    partial Fisher–Yates over the first k slots of each column of ``pos``,
+    an ``(n, block)`` buffer that is reset here so that the draws depend on
+    ``rng`` alone.  The swap partner of slot i is uniform on [i, n): drawn
+    uniform on [0, n) and redrawn while below i, which keeps it exact and
+    takes few redraws while k ≤ n/2.  A pair is seated when its labels sit
+    next to each other (u directly before v when directed).  Pairs seated
+    in a block are dropped, and the labels with them, at the block boundary.
+    """
+    block = pos.shape[1]
+    pos[:] = np.arange(n, dtype=pos.dtype)[:, None]
+    flat = pos.reshape(-1)
+    col = np.arange(block)
+    slot = np.empty(n, dtype=np.intp)
+    draws = 0
+    while True:
+        touched = np.zeros(n, dtype=bool)
+        touched[pu] = touched[pv] = True
+        k = np.count_nonzero(touched)
+        slot[touched] = np.arange(k)
+        swap = rng.integers(0, n, size=(k, block))
+        slots, cols = np.nonzero(swap < np.arange(k)[:, None])
+        while slots.size:
+            swap[slots, cols] = rng.integers(0, n, size=slots.size)
+            still = swap[slots, cols] < slots
+            slots, cols = slots[still], cols[still]
+        swap *= block
+        swap += col
+        for i, src in enumerate(swap):
+            chosen = flat[src]
+            flat[src] = pos[i]
+            pos[i] = chosen
+        gap = pos[slot[pv]] - pos[slot[pu]]
+        seated = gap == 1 if directed else np.abs(gap) == 1
+        hit = seated.any(axis=1)
+        if hit.all():
+            return draws + int(seated.argmax(axis=1).max()) + 1, draws + block
+        pu, pv = pu[~hit], pv[~hit]
+        draws += block
+
+
+def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
+    """Fewest leading rows of ``ids`` whose pairs complete ``covered``, which
+    all rows together do; bisection, so the rows are scattered about once."""
+    lo, hi = 0, len(ids)  # rows[:lo] leave a pair uncovered, rows[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = covered.copy()
+        trial[ids[lo:mid].reshape(-1)] = True
+        if np.count_nonzero(trial) == trial.size:
+            hi = mid
+        else:
+            lo, covered = mid, trial
+    return hi
+
 
 def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
-                    perm_buf: np.ndarray, first_block: int, next_block: int,
-                    covered: np.ndarray) -> int:
-    """Covering time of one trial; draws random orderings in blocks."""
-    m_target = n * (n - 1) // 2 if not directed else n * (n - 1)
-    covered[:] = False
+                    perm_buf: np.ndarray, ids_buf: np.ndarray, first_block: int,
+                    next_block: int, covered: np.ndarray,
+                    blank: np.ndarray) -> tuple[int, int, int]:
+    """Covering time of one trial, with the rows drawn whole and the rows
+    drawn in the tail phase.
+
+    ``covered`` is indexed by pair id ``u·n + v`` and starts as ``blank``,
+    which marks the ids that name no pair as covered already, so the trial
+    is done when every entry is set.  Whole orderings are shuffled, one
+    block at a time, until a block boundary leaves at most n/4 pairs
+    uncovered; those pairs touch at most n/2 labels K, and from then on
+    `_tail_phase` draws only the positions of K.
+
+    Why the tail phase leaves the law of T unchanged:
+
+    - The orderings are iid uniform.  The switch is decided at a block
+      boundary from the orderings drawn so far, so it is a stopping time,
+      and the orderings after it are still iid uniform and independent of
+      those before it.
+    - After the switch, T depends on an ordering only through which of the
+      uncovered pairs it seats.  Both ends of each such pair lie in K, so
+      that is a function of the positions of K alone.
+    - Restricted to K, a uniform permutation of n labels is a uniform
+      injection K → {0, …, n−1}.  A partial Fisher–Yates over |K| slots
+      draws exactly that, from any arrangement fixed before its draws.
+    - Shrinking K at a block boundary is the same argument again, and rows
+      of the last block past the covering ordering are never looked at.
+    """
+    perm_buf[:] = np.arange(n, dtype=perm_buf.dtype)
+    np.copyto(covered, blank)
+    uncovered = covered.size - np.count_nonzero(blank)
     draws = 0
     block = first_block
-    chunk = 32
-    while True:
+    while 4 * uncovered > n:
         rows = perm_buf[:block]
         rng.permuted(rows, axis=1, out=rows)
         a, b = rows[:, :-1], rows[:, 1:]
+        ids = ids_buf[:block]
         if directed:
-            ids = a.astype(np.int64) * n + b
-        else:
-            ids = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
-        for c0 in range(0, block, chunk):
-            part = ids[c0 : c0 + chunk]
-            flat = part.reshape(-1)
-            snapshot = covered[flat].copy()
-            covered[flat] = True
-            if np.count_nonzero(covered) >= m_target:
-                covered[flat] = snapshot  # rewind and replay the chunk exactly
-                for row in part:
-                    covered[row] = True
-                    draws += 1
-                    if np.count_nonzero(covered) >= m_target:
-                        return draws
-                raise AssertionError("chunk completed coverage but replay did not")
-            draws += len(part)
+            np.multiply(a, n, out=ids)
+        else:  # min·n + max = min·(n−1) + a + b
+            np.minimum(a, b, out=ids)
+            ids *= n - 1
+            ids += a
+        ids += b
+        snapshot = covered.copy()
+        covered[ids.reshape(-1)] = True
+        left = covered.size - np.count_nonzero(covered)
+        if left == 0:
+            return draws + _rows_to_cover(ids, snapshot), draws + block, 0
+        uncovered = left
+        draws += block
         block = next_block
+    pu, pv = np.divmod(np.flatnonzero(~covered), n)
+    pos = perm_buf.reshape(-1)[: n * next_block].reshape(n, next_block)
+    extra, tail = _tail_phase(n, directed, rng, pu, pv, pos)
+    return draws + extra, draws, tail
+
+
+def _blank_coverage(n: int, directed: bool) -> np.ndarray:
+    """Pair-id table with every id that names no pair marked covered: the
+    diagonal, and for unordered pairs also every id u·n + v with u > v."""
+    grid = np.eye(n, dtype=bool)
+    if not directed:
+        grid |= np.tri(n, k=-1, dtype=bool)
+    return grid.reshape(-1)
+
+
+def _cover_times(n: int, directed: bool, seed: int,
+                 trial_ids: range) -> tuple[np.ndarray, int, int]:
+    """Covering times of the trials ``trial_ids``, with the orderings drawn
+    whole and in the tail summed over them.  Trial t is seeded as
+    ``(seed, t)`` and starts from reset buffers."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if n > MAX_SIMULATED_N:
+        raise ValueError(f"n must be at most {MAX_SIMULATED_N}, got {n}")
+    if len(trial_ids) < 1:
+        raise ValueError("trials must be at least 1")
+    m = n * (n - 1) // 2 if not directed else n * (n - 1)
+    expected = (m / (n - 1)) * (math.log(m) + _EULER_GAMMA)
+    first_block = max(8, min(int(expected * 0.9) + 4, max(4_000_000 // n, 64)))
+    next_block = max(16, int(expected * 0.15) + 4)
+    perm_buf = np.empty((max(first_block, next_block), n), dtype=np.int32)
+    ids_buf = np.empty((perm_buf.shape[0], n - 1), dtype=np.int32)
+    blank = _blank_coverage(n, directed)
+    covered = np.empty_like(blank)
+    times = np.empty(len(trial_ids), dtype=np.int64)
+    whole = tail = 0
+    for i, t in enumerate(trial_ids):
+        rng = np.random.default_rng((seed, t))
+        times[i], w, d = _cover_time_one(n, directed, rng, perm_buf, ids_buf,
+                                         first_block, next_block, covered, blank)
+        whole += w
+        tail += d
+    return times, whole, tail
 
 
 def sample_cover_times(n: int, directed: bool, trials: int, seed: int) -> np.ndarray:
     """Covering times for all trials.  Trial ``t`` depends only on
     ``(seed, t)``, so any partition of the trial range reproduces the same
     numbers — reductions over them are order-insensitive by construction."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    m = n * (n - 1) // 2 if not directed else n * (n - 1)
-    expected = (m / (n - 1)) * (math.log(m) + _EULER_GAMMA)
-    first_block = max(8, min(int(expected * 0.9) + 4, max(4_000_000 // n, 64)))
-    next_block = max(16, int(expected * 0.15) + 4)
-    perm_buf = np.tile(np.arange(n, dtype=np.int32), (max(first_block, next_block), 1))
-    covered = np.zeros(n * n, dtype=bool)
-    times = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        times[t] = _cover_time_one(n, directed, rng, perm_buf,
-                                   first_block, next_block, covered)
-    return times
+    return _cover_times(n, directed, seed, range(trials))[0]
 
 
 def simulate_cover_complete(n: int, directed: bool, trials: int, seed: int) -> SimulationResult:
@@ -296,7 +425,7 @@ def simulate_cover_complete(n: int, directed: bool, trials: int, seed: int) -> S
     Each trial counts how many orderings were drawn before the union of their
     consecutive pairs (arcs when directed) covers every pair of nodes.
     """
-    times = sample_cover_times(n, directed, trials, seed)
+    times, whole, tail = _cover_times(n, directed, seed, range(trials))
     mean = float(times.mean())
     stddev = float(times.std(ddof=1)) if trials > 1 else 0.0
     return SimulationResult(
@@ -306,6 +435,8 @@ def simulate_cover_complete(n: int, directed: bool, trials: int, seed: int) -> S
         mean_cover_time=mean,
         stddev=stddev,
         seed=seed,
+        whole_orderings=whole,
+        tail_orderings=tail,
     )
 
 

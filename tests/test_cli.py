@@ -222,6 +222,13 @@ def test_zero_seeds_is_reported(capsys):
     assert err.startswith("error:") and "--seeds" in err
 
 
+@pytest.mark.parametrize("spec", ["5:3", "4:8:-1", "4:8:0", "3:x", "1:2:3:4"])
+def test_bad_coupon_range_is_reported(capsys, spec):
+    code, out, err = run_cli(capsys, "coupon", "--n", spec, "--trials", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(spec) in err
+
+
 def test_impossible_graph_size_is_reported(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("1000000000 0 u\n")  # 10¹⁸ bytes dense: refused at once
@@ -351,8 +358,9 @@ def _argvs(d):
             maybe("--augment", st.sampled_from(["auto", "on", "off"])),
             maybe("--start", st.sampled_from(["uniform", "degree_proportional"])), seed, out),
         cmd("coupon",
-            opt("--n", st.sampled_from(["-3", "0", "1", "2", "5", "3:6", "6:3", "2:8:3", "2:8:0",
-                                        "2:8:-1", "1:2:3:4", "x", ""])),
+            opt("--n", st.sampled_from(["-3", "0", "1", "2", "5", "3:6", "6:3", "5:3", "2:8:3",
+                                        "2:8:0", "4:8:0", "2:8:-1", "4:8:-1", "1:2:3:4", "x",
+                                        ""])),
             maybe("--trials", st.integers(-1, 5).map(str)),
             st.sampled_from([[], ["--directed"]]), seed, out),
         cmd("distinguish", opt("--a", graph), opt("--b", graph),
@@ -371,6 +379,8 @@ def test_fuzzed_argv_exits_cleanly(fuzz_dir, data):
     out, err = out.getvalue(), err.getvalue()
     if code == 0:
         assert out and not err
+        if argv[0] == "coupon":  # a sweep that succeeds has at least one row
+            assert len(out.splitlines()) > 1 if "csv" in argv else json.loads(out)["result"]["rows"]
     else:
         assert code == 1, argv
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)

@@ -129,6 +129,19 @@ def test_result_serialization():
     assert isinstance(d["mean_cover_time"], float)
 
 
+def test_work_counters_stay_out_of_the_json():
+    res = simulate_cover_complete(30, directed=False, trials=20, seed=3)
+    assert res.whole_orderings > 0 and res.tail_orderings > 0
+    assert res.whole_orderings + res.tail_orderings >= res.mean_cover_time * 20
+    assert "whole_orderings" not in res.to_json_dict()
+    assert "tail_orderings" not in res.to_json_dict()
+
+
+def test_pair_ids_must_fit_in_int32():
+    with pytest.raises(ValueError, match="46340"):
+        sample_cover_times(46341, directed=False, trials=1, seed=0)
+
+
 # --- structured-order comparison --------------------------------------------
 
 
