@@ -105,20 +105,19 @@ def _emit(ns: argparse.Namespace, result: dict, csv_header: list[str],
 # ---------------------------------------------------------------------------
 
 
+#: ``count --kind`` -> per-node values of the graph
+_COUNTERS = {
+    "triangle": lambda g: incidence_triangles(g).counts,
+    "4clique": lambda g: incidence_4cliques(g).counts,
+    "wedge": lambda g: incidence_wedges(g).counts,
+    "clustering": clustering_coefficients,
+    "directed-triangle": lambda g: incidence_triangles_directed(g).counts,
+}
+
+
 def _cmd_count(ns: argparse.Namespace) -> int:
     g = _load_graph(ns.infile, ns.gen, ns.seed)
-    if ns.kind == "triangle":
-        values = incidence_triangles(g).counts.tolist()
-    elif ns.kind == "4clique":
-        values = incidence_4cliques(g).counts.tolist()
-    elif ns.kind == "wedge":
-        values = incidence_wedges(g).counts.tolist()
-    elif ns.kind == "clustering":
-        values = clustering_coefficients(g).tolist()
-    elif ns.kind == "directed-triangle":
-        values = incidence_triangles_directed(g).counts.tolist()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {ns.kind!r}")
+    values = _COUNTERS[ns.kind](g).tolist()
     _emit(ns, {"kind": ns.kind, "counts": values},
           ["node", "count"], [[v, c] for v, c in enumerate(values)])
     return 0
@@ -259,9 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="per-node substructure counts")
     common(p)
-    p.add_argument("--kind", required=True,
-                   choices=("triangle", "4clique", "wedge", "clustering",
-                            "directed-triangle"))
+    p.add_argument("--kind", required=True, choices=tuple(_COUNTERS))
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("cover", help="ring arrangements and pair coverage")

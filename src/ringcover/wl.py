@@ -1,28 +1,27 @@
-"""Colour refinement on nodes and on k-tuples (k ≤ 3).
+"""Colour refinement on nodes (k = 1) and on ordered k-tuples (k ≥ 2).
 
-Node-level refinement (k=1) is the classic procedure: a node's new colour is
-its old colour together with the sorted multiset of neighbour colours.  For
-k ≥ 2 the tuple version refines all N^k ordered k-tuples: the j-th
-"neighbourhood" of a tuple is the multiset of colours obtained by swapping
-coordinate j through every node of the graph, and a tuple's initial colour is
-its atomic type — the pattern of coordinate equalities plus the pattern of
-ordered adjacencies, which pins down the labelled induced subgraph completely
-for k ≤ 3.
+One loop serves every k.  Round 0 colours every node 0 at k = 1, and every
+tuple by its atomic type at k ≥ 2 (the pattern of coordinate equalities and
+of ordered adjacencies, which pins down the labelled induced subgraph).  Each
+round numbers the signature rows ``[old colour | context]`` by sorting them
+(:func:`_intern_rows`: deterministic integers, no hashing), and the loop stops
+at the first round that adds no class.  k picks only the context columns:
 
-Two practical points drive the implementation:
+* k = 1: the sorted neighbour colours, padded with −1 to the run's largest
+  degree, then the same block over in-neighbours for every graph when any
+  graph in the run is directed, so a verdict reads arcs, not the flag.
+  As −1 sorts below every colour, padded rows order as the sorted tuples
+  do (a prefix first), so the ids are those of sorted signature tuples.
+* k ≥ 2: per coordinate j, the id of the multiset of colours met by swapping
+  coordinate j through every node.
 
-* Verdicts about *two* graphs require refining them **jointly** with one
-  shared colour table.  Refining each graph alone yields canonical but
-  incomparable colour ids, so every public entry point funnels into the same
-  joint routine.
-* Colours are interned by sorting and numbering signatures — plain
-  deterministic integers, no hashing, so equal multisets can never collide
-  and runs are reproducible bit for bit.
+Verdicts about two graphs need one shared colour table: ids from separate
+runs are canonical but incomparable, so every public entry point funnels into
+one joint run.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -102,51 +101,63 @@ def _histogram(colors: np.ndarray) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# k = 1: classic node refinement
+# one refinement loop; k picks the context columns
 # ---------------------------------------------------------------------------
 
 
-def _refine_nodes_joint(graphs: list[Graph]) -> list[list[np.ndarray]]:
-    """Classic colour refinement run jointly; returns per-graph colour arrays
-    for every round (round 0 = uniform initial colouring)."""
-    colors = [np.zeros(g.node_count, dtype=np.int64) for g in graphs]
-    rounds = [[c.copy() for c in colors]]
-    total_classes = 1
-    max_rounds = max(g.node_count for g in graphs) + 1
-
-    for _ in range(max_rounds):
-        table: dict[tuple, int] = {}
-        new_colors = []
-        for g, col in zip(graphs, colors):
-            fresh = np.empty_like(col)
-            for v in range(g.node_count):
-                nbr_part = tuple(sorted(col[u] for u in g.neighbors(v)))
-                if g.directed:
-                    in_nbrs = tuple(sorted(
-                        col[u] for u in np.flatnonzero(g.adjacency[:, v])
-                    ))
-                    sig = (int(col[v]), nbr_part, in_nbrs)
-                else:
-                    sig = (int(col[v]), nbr_part)
-                fresh[v] = table.setdefault(sig, len(table))
-            new_colors.append(fresh)
-        # renumber deterministically: ids above came from first-seen order,
-        # which depends on node order; remap to sorted-signature order
-        order = {old: rank for rank, (sig, old) in
-                 enumerate(sorted((s, i) for s, i in table.items()))}
-        new_colors = [np.vectorize(order.__getitem__, otypes=[np.int64])(c)
-                      for c in new_colors]
-        colors = new_colors
-        rounds.append([c.copy() for c in colors])
-        if len(table) == total_classes:
-            break
-        total_classes = len(table)
-    return [[r[i] for r in rounds] for i in range(len(graphs))]
+def _neighbour_slots(arcs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per graph, each node's neighbour ids (row v of its arc matrix) in an
+    ``(n, D)`` array padded with n, D being the run's largest degree."""
+    width = max(int(a.sum(axis=1).max()) for a in arcs)
+    out = []
+    for a in arcs:
+        n = len(a)
+        rows, cols = np.nonzero(a)
+        degree = a.sum(axis=1)
+        slots = np.full((n, width), n)
+        slots[rows, np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]] = cols
+        out.append(slots)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# k >= 2: tuple refinement
-# ---------------------------------------------------------------------------
+def _node_context(graphs: list[Graph]):
+    """k = 1: each node's neighbour colours, sorted and padded with −1, then
+    the same block for in-neighbours when a graph in the run is directed."""
+    arcs = [g.adjacency for g in graphs]
+    blocks = [_neighbour_slots(arcs)]
+    if any(g.directed for g in graphs):
+        blocks.append(_neighbour_slots([a.T for a in arcs]))
+
+    def context(colors):
+        out = []
+        for i, col in enumerate(colors):
+            # pad above every colour to sort the padding last, then mark it −1
+            high = np.iinfo(col.dtype).max
+            padded = np.append(col, high)
+            ctx = np.hstack([np.sort(padded[slots[i]], axis=1) for slots in blocks])
+            ctx[ctx == high] = -1
+            out.append(ctx)
+        return out
+    return context
+
+
+def _tuple_context(graphs: list[Graph], k: int):
+    """k ≥ 2: per axis j, the id of each tuple's axis-j fiber, i.e. of the
+    sorted colours met by swapping coordinate j through every node."""
+    shape = (graphs[0].node_count,) * k
+
+    def context(colors):
+        cubes = [c.reshape(shape) for c in colors]
+        out = [[] for _ in colors]
+        for j in range(k):
+            # the whole axis-j fiber shares its multiset: intern it once
+            rows = [np.moveaxis(np.sort(c, axis=j), j, -1).reshape(-1, shape[0])
+                    for c in cubes]
+            for cols, ids in zip(out, _intern_rows(rows)):
+                fiber = np.expand_dims(ids.reshape(shape[1:]), j)
+                cols.append(np.broadcast_to(fiber, shape).ravel())
+        return [np.stack(cols, axis=1) for cols in out]
+    return context
 
 
 def _atomic_tuple_colors(graphs: list[Graph], k: int) -> list[np.ndarray]:
@@ -162,52 +173,31 @@ def _atomic_tuple_colors(graphs: list[Graph], k: int) -> list[np.ndarray]:
         for a, b in permutations(range(k), 2):
             cols.append(g.adjacency[idx[a], idx[b]])
         features.append(np.stack(cols, axis=1).astype(np.int8))
-    interned = _intern_rows(features)
-    return [c.astype(np.int64) for c in interned]
+    return _intern_rows(features)
 
 
-def _refine_tuples_joint(graphs: list[Graph], k: int) -> list[list[np.ndarray]]:
-    if len({g.node_count for g in graphs}) > 1:
-        raise ValueError("joint tuple refinement requires equal node counts")
-    shape = [(g.node_count,) * k for g in graphs]
-    colors = [c.reshape(s) for c, s in zip(_atomic_tuple_colors(graphs, k), shape)]
-    rounds = [[c.ravel().copy() for c in colors]]
-    total_classes = int(max(c.max() for c in colors)) + 1
-    max_rounds = max(g.node_count for g in graphs) ** k + 1
-
-    for _ in range(max_rounds):
-        # per-axis fiber colours: the multiset over swapping coordinate j is
-        # shared by the whole axis-j fiber, so sort along the axis and intern
-        # each fiber's sorted colour vector once
-        fiber_ids = []  # fiber_ids[j][i] = array of shape[i] with axis-j ids
-        for j in range(k):
-            mats = []
-            for col in colors:
-                n = col.shape[0]
-                mats.append(np.moveaxis(np.sort(col, axis=j), j, -1).reshape(-1, n))
-            shared = _intern_rows(mats)
-            per_graph = []
-            for col, ids in zip(colors, shared):
-                n = col.shape[0]
-                context_shape = col.shape[:j] + col.shape[j + 1:]
-                expanded = np.broadcast_to(
-                    ids.reshape(context_shape + (1,)), context_shape + (n,)
-                )
-                per_graph.append(np.moveaxis(expanded, -1, j))
-            fiber_ids.append(per_graph)
-
-        signature_mats = []
-        for i, col in enumerate(colors):
-            parts = [col.ravel()] + [fiber_ids[j][i].ravel() for j in range(k)]
-            signature_mats.append(np.stack(parts, axis=1))
-        new_flat = _intern_rows(signature_mats)
-        colors = [c.astype(np.int64).reshape(s) for c, s in zip(new_flat, shape)]
-        rounds.append([c.ravel().copy() for c in colors])
-        classes = int(max(c.max() for c in colors)) + 1
-        if classes == total_classes:
+def _refine_joint(graphs: list[Graph], k: int) -> list[list[np.ndarray]]:
+    """Colour refinement at level ``k`` run jointly; returns per-graph colour
+    arrays (nodes, or tuples in C order) for every round."""
+    if k == 1:
+        colors = [np.zeros(g.node_count, dtype=np.intp) for g in graphs]
+        context = _node_context(graphs)
+    else:
+        colors = _atomic_tuple_colors(graphs, k)
+        context = _tuple_context(graphs, k)
+    rounds = [colors]
+    for _ in range(max(g.node_count for g in graphs) ** k + 1):
+        colors = _intern_rows([np.column_stack([col, ctx])
+                               for col, ctx in zip(colors, context(colors))])
+        rounds.append(colors)
+        if _class_count(colors) == _class_count(rounds[-2]):
             break
-        total_classes = classes
     return [[r[i] for r in rounds] for i in range(len(graphs))]
+
+
+def _class_count(colors: list[np.ndarray]) -> int:
+    # interned ids are consecutive from 0 over the whole run
+    return int(max(c.max() for c in colors)) + 1
 
 
 def _check_budget(graphs: list[Graph], k: int, budget: int) -> None:
@@ -224,14 +214,11 @@ def _check_budget(graphs: list[Graph], k: int, budget: int) -> None:
 def _joint_histograms(graphs: list[Graph], k: int, budget: int) -> list[ColorHistogram]:
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        per_graph_rounds = _refine_nodes_joint(graphs)
-    else:
+    if k > 1:
         _check_budget(graphs, k, budget)
-        per_graph_rounds = _refine_tuples_joint(graphs, k)
     return [
         ColorHistogram(k=k, iterations=tuple(_histogram(c) for c in rounds))
-        for rounds in per_graph_rounds
+        for rounds in _refine_joint(graphs, k)
     ]
 
 
@@ -273,7 +260,9 @@ def wl_compare(g1: Graph, g2: Graph, k: int, budget: int = DEFAULT_TUPLE_BUDGET
     so each graph's counts are cut there.
     """
     if g1.node_count != g2.node_count:
-        raise ValueError("wl_distinguish expects graphs on the same node count")
+        raise ValueError(
+            f"refinement compares graphs on equal node counts, got "
+            f"{g1.node_count} and {g2.node_count} nodes")
     h1, h2 = _joint_histograms([g1, g2], k, budget)
     rounds = max(len(h1.iterations), len(h2.iterations))
     separated = any(

@@ -9,7 +9,9 @@ are the earlier implementations, kept here as oracles:
   and aggregation equal to ``rtol=1e-12`` (the batched fold adds the same
   terms in another order);
 * the counts equal the int64 matrix powers exactly;
-* the walk estimate equals the step-by-step running sums field for field.
+* the walk estimate equals the step-by-step running sums field for field;
+* colour refinement gives the colours of the node loop (k = 1) and the tuple
+  loop (k ≥ 2) round by round, ids included.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from ringcover.substructure import (
     incidence_triangles_directed,
     total_triangles,
 )
+from ringcover.wl import _atomic_tuple_colors, _intern_rows, _refine_joint
 
 # ---------------------------------------------------------------------------
 # reference routes
@@ -280,8 +283,8 @@ def reference_4cliques_at(g, v: int) -> int:
 
 
 @st.composite
-def graphs(draw, directed: bool, max_nodes: int = 24):
-    n = draw(st.integers(1, max_nodes))
+def graphs(draw, directed: bool, max_nodes: int = 24, min_nodes: int = 1):
+    n = draw(st.integers(min_nodes, max_nodes))
     p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adj = rng.random((n, n)) < p
@@ -408,3 +411,116 @@ def test_walk_estimate_equals_running_sums_on_any_graph(g, data):
                                                              "degree_proportional"])))
     # long sums of 1/d are where a pairwise reduction would differ in the last bits
     assert estimate_incidence_triangles(g, v, cfg) == reference_estimate(g, v, cfg)
+
+
+# ---------------------------------------------------------------------------
+# colour refinement: one interned loop against the node and tuple loops
+# ---------------------------------------------------------------------------
+
+
+def _refine_nodes_joint(graphs: list[Graph]) -> list[list[np.ndarray]]:
+    """Classic colour refinement run jointly; returns per-graph colour arrays
+    for every round (round 0 = uniform initial colouring)."""
+    colors = [np.zeros(g.node_count, dtype=np.int64) for g in graphs]
+    rounds = [[c.copy() for c in colors]]
+    total_classes = 1
+    max_rounds = max(g.node_count for g in graphs) + 1
+
+    for _ in range(max_rounds):
+        table: dict[tuple, int] = {}
+        new_colors = []
+        for g, col in zip(graphs, colors):
+            fresh = np.empty_like(col)
+            for v in range(g.node_count):
+                nbr_part = tuple(sorted(col[u] for u in g.neighbors(v)))
+                if g.directed:
+                    in_nbrs = tuple(sorted(
+                        col[u] for u in np.flatnonzero(g.adjacency[:, v])
+                    ))
+                    sig = (int(col[v]), nbr_part, in_nbrs)
+                else:
+                    sig = (int(col[v]), nbr_part)
+                fresh[v] = table.setdefault(sig, len(table))
+            new_colors.append(fresh)
+        # renumber deterministically: ids above came from first-seen order,
+        # which depends on node order; remap to sorted-signature order
+        order = {old: rank for rank, (sig, old) in
+                 enumerate(sorted((s, i) for s, i in table.items()))}
+        new_colors = [np.vectorize(order.__getitem__, otypes=[np.int64])(c)
+                      for c in new_colors]
+        colors = new_colors
+        rounds.append([c.copy() for c in colors])
+        if len(table) == total_classes:
+            break
+        total_classes = len(table)
+    return [[r[i] for r in rounds] for i in range(len(graphs))]
+
+
+def _refine_tuples_joint(graphs: list[Graph], k: int) -> list[list[np.ndarray]]:
+    if len({g.node_count for g in graphs}) > 1:
+        raise ValueError("joint tuple refinement requires equal node counts")
+    shape = [(g.node_count,) * k for g in graphs]
+    colors = [c.reshape(s) for c, s in zip(_atomic_tuple_colors(graphs, k), shape)]
+    rounds = [[c.ravel().copy() for c in colors]]
+    total_classes = int(max(c.max() for c in colors)) + 1
+    max_rounds = max(g.node_count for g in graphs) ** k + 1
+
+    for _ in range(max_rounds):
+        # per-axis fiber colours: the multiset over swapping coordinate j is
+        # shared by the whole axis-j fiber, so sort along the axis and intern
+        # each fiber's sorted colour vector once
+        fiber_ids = []  # fiber_ids[j][i] = array of shape[i] with axis-j ids
+        for j in range(k):
+            mats = []
+            for col in colors:
+                n = col.shape[0]
+                mats.append(np.moveaxis(np.sort(col, axis=j), j, -1).reshape(-1, n))
+            shared = _intern_rows(mats)
+            per_graph = []
+            for col, ids in zip(colors, shared):
+                n = col.shape[0]
+                context_shape = col.shape[:j] + col.shape[j + 1:]
+                expanded = np.broadcast_to(
+                    ids.reshape(context_shape + (1,)), context_shape + (n,)
+                )
+                per_graph.append(np.moveaxis(expanded, -1, j))
+            fiber_ids.append(per_graph)
+
+        signature_mats = []
+        for i, col in enumerate(colors):
+            parts = [col.ravel()] + [fiber_ids[j][i].ravel() for j in range(k)]
+            signature_mats.append(np.stack(parts, axis=1))
+        new_flat = _intern_rows(signature_mats)
+        colors = [c.astype(np.int64).reshape(s) for c, s in zip(new_flat, shape)]
+        rounds.append([c.ravel().copy() for c in colors])
+        classes = int(max(c.max() for c in colors)) + 1
+        if classes == total_classes:
+            break
+        total_classes = classes
+    return [[r[i] for r in rounds] for i in range(len(graphs))]
+
+
+@st.composite
+def joint_runs(draw):
+    """k, then 1–3 graphs, each directed or not, on node counts that differ
+    only at k = 1."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    count = draw(st.integers(1, 3))
+    nodes = st.integers(1, {1: 14, 2: 8, 3: 5}[k])
+    sizes = [draw(nodes) for _ in range(count)] if k == 1 else [draw(nodes)] * count
+    return k, [draw(graphs(directed=draw(st.booleans()), min_nodes=n, max_nodes=n))
+               for n in sizes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint_runs())
+def test_refinement_equals_the_node_and_tuple_loops(case):
+    k, run = case
+    # a directed graph in the run gives every graph its in-neighbour block;
+    # the node loop gave it to directed graphs only, so it sees all as directed
+    directed = any(g.directed for g in run)
+    twins = [Graph(g.adjacency, directed=directed) for g in run]
+    want = _refine_nodes_joint(twins) if k == 1 else _refine_tuples_joint(twins, k)
+    got = _refine_joint(run, k)
+    assert [[c.tolist() for c in rounds] for rounds in got] == \
+        [[c.tolist() for c in rounds] for rounds in want]

@@ -249,6 +249,13 @@ def test_pair_inputs_read_any_file_name(tmp_path, capsys):
         assert code == 1 and err.startswith("error:")
 
 
+def test_wl_size_mismatch_names_both_node_counts(capsys):
+    code, out, err = run_cli(capsys, "wl", "--a", "rooks", "--b", "cycle:6")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "16" in err and "6 nodes" in err
+
+
 def test_wl_refines_once(monkeypatch, capsys):
     calls = []
     joint = wl._joint_histograms

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringcover.graph_core import (
@@ -128,12 +128,12 @@ def test_k3_sees_what_k1_cannot():
 
 @st.composite
 def _pairs(draw):
-    """k, then two graphs on the same node count, both directed or both not."""
+    """k, then two graphs on the same node count, each directed or not."""
     k = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(1, {1: 12, 2: 9, 3: 6}[k]))
-    directed = draw(st.booleans())
     out = []
     for _ in range(2):
+        directed = draw(st.booleans())
         p = draw(st.sampled_from([0.0, 0.2, 0.4, 0.7, 1.0]))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         adj = rng.random((n, n)) < p
@@ -155,6 +155,19 @@ def test_compare_counts_equal_solo_refinement(case):
     assert verdict == wl_distinguish(g1, g2, k)
     assert counts_a == kwl_refine(g1, k).class_counts
     assert counts_b == kwl_refine(g2, k).class_counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs())
+@example((1, gen_cycle(6), gen_cycle(6)))
+@example((2, gen_cycle(6), gen_cycle(6)))
+@example((3, gen_cycle(6), gen_cycle(6)))
+def test_undirected_graph_is_its_directed_twin_at_every_k(case):
+    # the verdict reads the arcs, not the directed flag
+    k, g, _ = case
+    g = Graph(g.adjacency | g.adjacency.T)
+    counts = kwl_refine(g, k).class_counts
+    assert wl_compare(g, Graph(g.adjacency, directed=True), k) == (False, counts, counts)
 
 
 def test_compare_cuts_the_graph_that_stabilises_first():
