@@ -21,19 +21,23 @@ correlated within a round, so the k-coupon value with k = n−1 is only a
 numerically-supported stand-in, which is exactly how it is treated by the
 consistency checks.
 
-A trial runs in two phases.  It shuffles whole orderings in blocks, with
-pair ids ``u·n + v`` in int32 (hence n ≤ 46340) and one coverage count per
-block, until a block boundary leaves at most n/4 pairs uncovered.  From then
-on it draws only the positions of the labels those pairs touch, which is
-exact in distribution (`_cover_time_one` gives the argument) and costs a few
-µs per ordering at n = 1000 instead of ~20 µs for a whole shuffle.  Trial t
-is seeded as ``(seed, t)`` and starts from reset buffers, so it depends on
-nothing else.
+A trial runs in two phases.  It draws whole orderings in blocks, with pair
+ids ``u·n + v`` in int32 (hence n ≤ 46340) and one coverage count per block,
+until a block boundary leaves at most n/4 pairs uncovered.  A whole ordering
+is drawn by sorting random keys that carry the labels in their low bits,
+redrawing a row whose random bits tie; the keys of a kept row are
+exchangeable, so its ordering is uniform (`_shuffle_rows` gives the
+argument), at ~7 µs per ordering at n = 1000.  From then on the trial draws
+only the positions of the labels those pairs touch, which is exact in
+distribution (`_cover_time_one` gives the argument) and costs a few µs per
+ordering.  Trial t is seeded as ``(seed, t)``, and every buffer it reads is
+reset or overwritten first, so it depends on nothing else.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,6 +255,8 @@ def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
 #: Above this n the pair id ``u·n + v`` no longer fits in int32.
 MAX_SIMULATED_N = 46340
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 def _tail_phase(n: int, directed: bool, rng: np.random.Generator,
                 pu: np.ndarray, pv: np.ndarray, pos: np.ndarray) -> tuple[int, int]:
@@ -298,6 +304,62 @@ def _tail_phase(n: int, directed: bool, rng: np.random.Generator,
         draws += block
 
 
+def _key_labels(n: int) -> np.ndarray:
+    """The labels 0 … n−1 in the word that `_shuffle_rows` keys them in:
+    uint32 up to n = 1024, uint64 above."""
+    return np.arange(n, dtype=np.uint32 if n <= 1024 else np.uint64)
+
+
+def _shuffle_rows(rng: np.random.Generator, rows: np.ndarray, labels: np.ndarray) -> None:
+    """Overwrite every row of ``rows``, an ``(r, n)`` int block, with an
+    independent uniform ordering of 0 … n−1; ``labels`` is `_key_labels(n)`.
+
+    Each label gets a key: iid random bits in the high part of a word and
+    the label itself in the low ⌈log₂ n⌉ bits.  Sorting a row of keys sorts
+    its labels by their random bits, and a mask reads the labels back.  A
+    row in which two keys share their random bits is redrawn with fresh
+    bits.
+
+    Why this is exact: the random parts of a kept row are iid and
+    conditioned on being distinct, so they are exchangeable, and every
+    order of them, hence of the labels, is equally likely.  Whether a row
+    is kept depends on its own bits alone, so the rows stay iid.  With
+    uint32 words up to n = 1024 the keys have at least 22 random bits, and
+    about 11% of rows are redrawn at n = 1000; with uint64 words above they
+    have at least 48 up to `MAX_SIMULATED_N`, so a redraw is rare.  The
+    block is keyed in chunks of about 2¹⁷ labels, which keeps the keys
+    small beside the block.
+    """
+    n = len(labels)
+    mask = labels.dtype.type((1 << (n - 1).bit_length()) - 1)
+    raw = rng.bit_generator.random_raw
+    step = max(1, 2**17 // n)
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        chunk[:], redo = _keyed_orderings(raw, len(chunk), labels, mask)
+        while redo.size:
+            chunk[redo], tied = _keyed_orderings(raw, redo.size, labels, mask)
+            redo = redo[tied]
+
+
+def _keyed_orderings(raw: Callable[[int], np.ndarray], count: int, labels: np.ndarray,
+                     mask: np.integer) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` rows of ``labels``, each sorted by fresh random keys drawn
+    from ``raw``, and the indices of the rows in which two keys tied."""
+    n = len(labels)
+    keys = raw(-(-count * n * labels.itemsize // 8)).view(labels.dtype)
+    keys = keys[: count * n].reshape(count, n)
+    keys &= ~mask
+    keys |= labels
+    keys.sort(axis=1)
+    # keys with equal random bits sort next to each other; one count over
+    # the block comes first, as at small n a tie is rare
+    close = (keys[:, 1:] ^ keys[:, :-1]) <= mask
+    tied = np.flatnonzero(close.any(axis=1)) if np.count_nonzero(close) else _NO_ROWS
+    keys &= mask
+    return keys, tied
+
+
 def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
     """Fewest leading rows of ``ids`` whose pairs complete ``covered``, which
     all rows together do; bisection, so the rows are scattered about once."""
@@ -305,7 +367,7 @@ def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         trial = covered.copy()
-        trial[ids[lo:mid].reshape(-1)] = True
+        trial[ids[lo:mid]] = True
         if np.count_nonzero(trial) == trial.size:
             hi = mid
         else:
@@ -315,8 +377,8 @@ def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
 
 def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
                     perm_buf: np.ndarray, ids_buf: np.ndarray, first_block: int,
-                    next_block: int, covered: np.ndarray,
-                    blank: np.ndarray) -> tuple[int, int, int]:
+                    next_block: int, covered: np.ndarray, blank: np.ndarray,
+                    labels: np.ndarray) -> tuple[int, int, int]:
     """Covering time of one trial, with the rows drawn whole and the rows
     drawn in the tail phase.
 
@@ -329,7 +391,8 @@ def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
 
     Why the tail phase leaves the law of T unchanged:
 
-    - The orderings are iid uniform.  The switch is decided at a block
+    - The orderings are iid uniform (`_shuffle_rows` argues this for the
+      sorted keys of the whole phase).  The switch is decided at a block
       boundary from the orderings drawn so far, so it is a stopping time,
       and the orderings after it are still iid uniform and independent of
       those before it.
@@ -342,14 +405,13 @@ def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
     - Shrinking K at a block boundary is the same argument again, and rows
       of the last block past the covering ordering are never looked at.
     """
-    perm_buf[:] = np.arange(n, dtype=perm_buf.dtype)
     np.copyto(covered, blank)
-    uncovered = covered.size - np.count_nonzero(blank)
+    uncovered = n * (n - 1) if directed else n * (n - 1) // 2
     draws = 0
     block = first_block
     while 4 * uncovered > n:
         rows = perm_buf[:block]
-        rng.permuted(rows, axis=1, out=rows)
+        _shuffle_rows(rng, rows, labels)
         a, b = rows[:, :-1], rows[:, 1:]
         ids = ids_buf[:block]
         if directed:
@@ -360,7 +422,7 @@ def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
             ids += a
         ids += b
         snapshot = covered.copy()
-        covered[ids.reshape(-1)] = True
+        covered[ids] = True
         left = covered.size - np.count_nonzero(covered)
         if left == 0:
             return draws + _rows_to_cover(ids, snapshot), draws + block, 0
@@ -401,12 +463,13 @@ def _cover_times(n: int, directed: bool, seed: int,
     ids_buf = np.empty((perm_buf.shape[0], n - 1), dtype=np.int32)
     blank = _blank_coverage(n, directed)
     covered = np.empty_like(blank)
+    labels = _key_labels(n)
     times = np.empty(len(trial_ids), dtype=np.int64)
     whole = tail = 0
     for i, t in enumerate(trial_ids):
         rng = np.random.default_rng((seed, t))
         times[i], w, d = _cover_time_one(n, directed, rng, perm_buf, ids_buf,
-                                         first_block, next_block, covered, blank)
+                                         first_block, next_block, covered, blank, labels)
         whole += w
         tail += d
     return times, whole, tail

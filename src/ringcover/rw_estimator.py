@@ -94,7 +94,12 @@ class EstimateResult:
 
 
 def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
-    return [g.neighbors(v) for v in range(g.node_count)]
+    """``g.neighbors(v)`` for every node v, from one pass over the adjacency:
+    its nonzeros come row by row, each row's columns ascending."""
+    adj = g.adjacency
+    cols = np.nonzero(adj)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    return [tuple(cols[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def simple_random_walk(nb: InducedNeighborhood, start: int, r: int, seed: int) -> list[int]:

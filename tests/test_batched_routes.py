@@ -9,7 +9,8 @@ are the earlier implementations, kept here as oracles:
   and aggregation equal to ``rtol=1e-12`` (the batched fold adds the same
   terms in another order);
 * the counts equal the int64 matrix powers exactly;
-* the walk estimate equals the step-by-step running sums field for field;
+* the walk estimate equals the step-by-step running sums field for field,
+  on neighbour lists equal to the per-node `Graph.neighbors` queries;
 * colour refinement gives the colours of the node loop (k = 1) and the tuple
   loop (k ≥ 2) round by round, ids included.
 """
@@ -49,6 +50,7 @@ from ringcover.pg_aggregate import (
 from ringcover.rw_estimator import (
     EstimateResult,
     WalkConfig,
+    _neighbor_lists,
     estimate_incidence_triangles,
 )
 from ringcover.substructure import (
@@ -411,6 +413,13 @@ def test_walk_estimate_equals_running_sums_on_any_graph(g, data):
                                                              "degree_proportional"])))
     # long sums of 1/d are where a pairwise reduction would differ in the last bits
     assert estimate_incidence_triangles(g, v, cfg) == reference_estimate(g, v, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(directed=st.booleans(), data=st.data())
+def test_neighbor_lists_equal_the_per_node_queries(directed, data):
+    g = data.draw(graphs(directed=directed))
+    assert _neighbor_lists(g) == [g.neighbors(v) for v in range(g.node_count)]
 
 
 # ---------------------------------------------------------------------------

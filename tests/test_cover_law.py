@@ -29,7 +29,12 @@ import numpy as np
 import pytest
 
 from ringcover import coupon_sim
-from ringcover.coupon_sim import kcoupon_expectation, sample_cover_times, simulate_cover_complete
+from ringcover.coupon_sim import (
+    MAX_SIMULATED_N,
+    kcoupon_expectation,
+    sample_cover_times,
+    simulate_cover_complete,
+)
 
 
 def all_pairs(n: int, directed: bool) -> list[tuple[int, int]]:
@@ -221,6 +226,62 @@ def test_tail_phase_follows_the_exact_subset_law(n, directed, pairs, block):
         assert drawn % block == 0 and drawn - block < times[t] <= drawn
     assert histogram_p(times, law) > ALPHA
     assert abs(times.mean() - float(law.mean())) < 4 * times.std() / math.sqrt(trials)
+
+
+@pytest.mark.parametrize("n,rows,seed", [(4, 24_000, 4), (5, 48_000, 5)])
+def test_shuffled_rows_are_uniform_over_all_orderings(n, rows, seed):
+    # 48k rows of 5 labels span two key chunks
+    block = np.empty((rows, n), dtype=np.int32)
+    coupon_sim._shuffle_rows(np.random.default_rng(seed), block, coupon_sim._key_labels(n))
+    code = block.astype(np.int64) @ n ** np.arange(n)
+    index = {sum(p * n**i for i, p in enumerate(order)): j
+             for j, order in enumerate(itertools.permutations(range(n)))}
+    assert set(np.unique(code).tolist()) <= index.keys()
+    counts = np.bincount([index[c] for c in code.tolist()], minlength=len(index))
+    assert chi_square_p(counts, np.full(len(index), rows / len(index))) > ALPHA
+
+
+class ScriptedBits:
+    """A stand-in generator whose ``bit_generator.random_raw`` returns the
+    given words, one array per call, and records the sizes asked for."""
+
+    def __init__(self, *words: np.ndarray):
+        self.words = list(words)
+        self.sizes: list[int] = []
+        self.bit_generator = self
+
+    def random_raw(self, size: int) -> np.ndarray:
+        self.sizes.append(size)
+        return self.words.pop(0).view(np.uint64)
+
+
+def test_a_row_with_tied_keys_is_redrawn():
+    def keys(*high):  # random parts above the two label bits, junk below
+        return (np.array(high, dtype=np.uint32) << 2) | 3
+
+    # row 0 ties its labels 0 and 3, whose low bits differ in every place;
+    # kept as drawn it would read [2, 0, 3, 1]
+    bits = ScriptedBits(keys(5, 7, 1, 5, 4, 3, 2, 1), keys(4, 2, 1, 3))
+    block = np.empty((2, 4), dtype=np.int32)
+    coupon_sim._shuffle_rows(bits, block, coupon_sim._key_labels(4))
+    assert bits.sizes == [4, 2] and not bits.words
+    assert block.tolist() == [[2, 1, 3, 0], [3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("n,rows", [(1024, 3), (1025, 300), (MAX_SIMULATED_N, 5)])
+def test_every_shuffled_row_is_an_ordering(n, rows):
+    labels = coupon_sim._key_labels(n)
+    assert labels.dtype == (np.uint32 if n <= 1024 else np.uint64)
+    block = np.empty((rows, n), dtype=np.int32)
+    coupon_sim._shuffle_rows(np.random.default_rng(n), block, labels)
+    assert (np.sort(block, axis=1) == np.arange(n)).all()
+
+
+def test_a_trial_above_the_uint32_keys():
+    # n = 1100 keys its orderings in uint64 words; T is at least m/(n−1)
+    times = sample_cover_times(1100, False, 1, seed=3)
+    assert 550 <= times[0] < 4 * 550 * math.log(1100 * 1099 // 2)
+    assert times.tolist() == sample_cover_times(1100, False, 1, seed=3).tolist()
 
 
 def test_trial_does_not_depend_on_the_trials_before_it():

@@ -96,8 +96,9 @@ def test_class_counts_never_decrease():
 def test_histogram_shape():
     hist = kwl_refine(gen_complete(4), 2)
     assert hist.k == 2
-    # 16 ordered pairs: 4 diagonal, 12 adjacent — K4 stabilizes immediately
-    assert hist.iterations[-1] == {0: 4, 1: 12} or sum(hist.iterations[-1].values()) == 16
+    # 16 ordered pairs, K4 stable from round 0: class 0 holds the 12 adjacent
+    # pairs and class 1 the 4 diagonal ones (ids follow the sorted atomic rows)
+    assert hist.iterations[-1] == {0: 12, 1: 4}
     d = hist.to_json_dict()
     assert d["k"] == 2
     assert d["class_counts"] == list(hist.class_counts)
