@@ -43,6 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .perm_group import sigma_group_order
+
 __all__ = [
     "SimulationResult",
     "coupon_expectation_classic",
@@ -505,15 +507,11 @@ def simulate_cover_complete(n: int, directed: bool, trials: int, seed: int) -> S
 
 def pg_cover_count(n: int, directed: bool) -> int:
     """Arrangements the cyclic-group construction spends on full coverage:
-    ``⌊n/2⌋`` rings for unordered pairs (1 for n ≤ 3), and the whole group —
-    n rings for even n, n−1 for odd — for ordered pairs (1 for n = 1)."""
+    ``⌊n/2⌋`` rings for unordered pairs (1 for n ≤ 3), and the whole group
+    (:func:`~ringcover.perm_group.sigma_group_order`) for ordered pairs."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not directed:
-        return max(1, n // 2)
-    if n == 1:
-        return 1
-    return n if n % 2 == 0 else n - 1
+    return sigma_group_order(n) if directed else max(1, n // 2)
 
 
 def savings_ratio(n: int, trials: int, seed: int) -> float:

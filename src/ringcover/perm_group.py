@@ -193,16 +193,16 @@ def ring_powers(g: Permutation) -> np.ndarray:
     """All distinct powers of ``g`` as a ``(G, n)`` int array in power order.
 
     Row ``k`` is the image of ``g**k`` (row 0 the identity), which is also
-    the ring that power seats.  Rows come by repeated indexing,
-    ``g**(k+1) = g ∘ g**k``, until the identity returns.
+    the ring that power seats.  On a cycle ``(c_0 .. c_{L-1})`` the k-th power
+    sends ``c_j`` to ``c_{(j+k) mod L}``, so each cycle fills its columns of
+    every row at once; the row count G is the lcm of the cycle lengths.
     """
-    image = np.asarray(g.image, dtype=np.int64)
-    rows = [np.arange(1, g.degree + 1)]
-    nxt = image
-    while not np.array_equal(nxt, rows[0]):
-        rows.append(nxt)
-        nxt = image[nxt - 1]
-    return np.stack(rows)
+    cycles = [np.asarray(c, dtype=np.int64) for c in g.cycles()]
+    k = np.arange(math.lcm(*(c.size for c in cycles)))[:, None]
+    rows = np.empty((k.size, g.degree), dtype=np.int64)
+    for c in cycles:
+        rows[:, c - 1] = c[(np.arange(c.size) + k) % c.size]
+    return rows
 
 
 def generate_group(g: Permutation) -> PermutationGroup:

@@ -1,13 +1,14 @@
 """Order-sensitive neighbourhood aggregation driven by the ring group.
 
-A node's neighbours (taken in ascending id order) are laid out on a ring; for
-every element of the cyclic group generated by the ring shuffle the sequence
-of neighbour features — closed by repeating the first one — is fed through a
-sequence aggregator, and the runs are summed together with a self term.
-Summing over the whole group is what buys the invariance this module
-advertises: reordering the neighbours by any group element permutes the runs
-and leaves the total unchanged, and the consecutive pairs consumed across the
-group are exactly the ring-coverage pairs of :mod:`ringcover.perm_group`.
+A node's neighbours (ascending ids unless an order is given) are laid out on
+a ring; for every element of the cyclic group generated by the ring shuffle
+the sequence of neighbour features — closed by repeating the first one — is
+fed through a sequence aggregator, and the runs are summed together with a
+self term.  The group sum absorbs the group's own shuffles: reordering the
+neighbours by a group element permutes the runs and leaves the total
+unchanged, and the consecutive pairs consumed across the group are exactly
+the ring-coverage pairs of :mod:`ringcover.perm_group`.  The separation
+verdict seats neighbours by their features, so relabelling cannot change it.
 
 Aggregator notes.  ``elman`` is the standard recurrent cell
 ``y_t = a(U·y_{t−1} + W·h_t + b)`` applied per step.  ``gin_recovery`` is the
@@ -21,6 +22,8 @@ recovery exact.
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,22 +47,43 @@ _ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
 }
 
+_FOLD_FEATURES = 2**20  # cap on the features one fold in _layer gathers
+
+
+def _linear_fold(alpha: float, seqs: np.ndarray) -> np.ndarray:
+    state = np.zeros_like(seqs[:, 0])
+    for t in range(seqs.shape[1]):
+        state = alpha * state + seqs[:, t]
+    return state
+
+
+def _elman_fold(W, U, b, act, seqs: np.ndarray) -> np.ndarray:
+    inputs = seqs @ W.T + b  # the W·h_t + b term of every step, up front
+    y = np.zeros((seqs.shape[0], W.shape[0]))
+    for t in range(seqs.shape[1]):
+        y = act(y @ U.T + inputs[:, t])
+    return y
+
+
+def _gin_fold(W, b, seqs: np.ndarray) -> np.ndarray:
+    return seqs.sum(axis=1) @ W.T + b
+
 
 class SeqAggregator:
     """A deterministic sequence-to-vector fold with zero initial state.
 
-    Construct through one of the classmethods; ``run`` consumes a sequence of
-    equally-sized feature vectors and returns one vector.
+    Construct through a classmethod, which binds the fold and its weights;
+    ``output_width`` is None when the width follows the inputs.
     """
 
-    def __init__(self, mode: str, **params):
-        self.mode = mode
-        self.params = params
+    def __init__(self, fold: Callable[[np.ndarray], np.ndarray], W=None):
+        self._fold, self._W = fold, W
+        self.output_width = None if W is None else W.shape[0]
 
     @classmethod
     def linear_recurrence(cls, alpha: float) -> "SeqAggregator":
         """state ← α·state + x, returning the final state."""
-        return cls("linear_recurrence", alpha=float(alpha))
+        return cls(partial(_linear_fold, float(alpha)))
 
     @classmethod
     def elman(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray,
@@ -70,7 +94,7 @@ class SeqAggregator:
         W, U, b = np.asarray(W, float), np.asarray(U, float), np.asarray(b, float)
         if U.shape != (W.shape[0], W.shape[0]) or b.shape != (W.shape[0],):
             raise ValueError("elman weight shapes inconsistent")
-        return cls("elman", W=W, U=U, b=b, activation=activation)
+        return cls(partial(_elman_fold, W, U, b, _ACTIVATIONS[activation]), W)
 
     @classmethod
     def gin_recovery(cls, W: np.ndarray, b: np.ndarray) -> "SeqAggregator":
@@ -82,15 +106,7 @@ class SeqAggregator:
         W, b = np.asarray(W, float), np.asarray(b, float)
         if b.shape != (W.shape[0],):
             raise ValueError("bias width must match W rows")
-        return cls("gin_recovery", W=W, b=b)
-
-    @property
-    def output_width(self) -> int | None:
-        """Output width when the weights determine it (None for the scalar
-        recurrence, whose width follows the inputs)."""
-        if self.mode in ("elman", "gin_recovery"):
-            return self.params["W"].shape[0]
-        return None
+        return cls(partial(_gin_fold, W, b), W)
 
     def run(self, seq: Sequence[np.ndarray]) -> np.ndarray:
         """Fold one sequence; the single-sequence case of :meth:`fold`."""
@@ -105,31 +121,13 @@ class SeqAggregator:
     def fold(self, seqs: np.ndarray) -> np.ndarray:
         """Fold a batch of equal-length sequences at once.
 
-        ``seqs`` is ``(G, T, *width)``; row ``k`` of the result is the fold of
-        ``seqs[k]``.  One step runs for all G sequences together, so the
+        ``seqs`` is ``(R, T, *width)``; row ``k`` of the result is the fold of
+        ``seqs[k]``.  One step runs for all R sequences together, so the
         Python loop is over the T steps only.
         """
-        if self.mode == "linear_recurrence":
-            alpha = self.params["alpha"]
-            state = np.zeros_like(seqs[:, 0])
-            for t in range(seqs.shape[1]):
-                state = alpha * state + seqs[:, t]
-            return state
-        if self.mode not in ("elman", "gin_recovery"):
-            raise ValueError(f"unknown aggregator mode {self.mode!r}")
-
-        W, b = self.params["W"], self.params["b"]
-        if seqs.shape[2:] != (W.shape[1],):
-            raise ValueError(
-                f"{self.mode} expects width {W.shape[1]}, got {seqs.shape[2:]}")
-        if self.mode == "gin_recovery":
-            return seqs.sum(axis=1) @ W.T + b
-        U, act = self.params["U"], _ACTIVATIONS[self.params["activation"]]
-        inputs = seqs @ W.T + b  # the W·h_t + b term of every step, up front
-        y = np.zeros((seqs.shape[0], W.shape[0]))
-        for t in range(seqs.shape[1]):
-            y = act(y @ U.T + inputs[:, t])
-        return y
+        if self._W is not None and seqs.shape[2:] != (self._W.shape[1],):
+            raise ValueError(f"expected width {self._W.shape[1]}, got {seqs.shape[2:]}")
+        return self._fold(seqs)
 
 
 def linear_recurrence(seq: Sequence[np.ndarray], alpha: float) -> np.ndarray:
@@ -145,32 +143,37 @@ def linear_recurrence(seq: Sequence[np.ndarray], alpha: float) -> np.ndarray:
 def _features_matrix(g: Graph, feats: np.ndarray) -> np.ndarray:
     feats = np.asarray(feats, dtype=float)
     if feats.ndim != 2 or feats.shape[0] != g.node_count:
-        raise ValueError(
-            f"features must be (node_count, width), got {feats.shape}")
+        raise ValueError(f"features must be (node_count, width), got {feats.shape}")
     return feats
 
 
-def _ingestion_order(g: Graph, v: int, neighbor_order) -> list[int]:
+def _ingestion_order(g: Graph, v: int, neighbor_order) -> np.ndarray:
     base = list(g.neighbors(v))
-    if neighbor_order is None:
-        return base
-    candidate = [int(u) for u in neighbor_order]
-    if sorted(candidate) != base:
-        raise ValueError("neighbor_order must be a permutation of the neighbors")
-    return candidate
+    if neighbor_order is not None:
+        try:
+            order = [operator.index(u) for u in neighbor_order]
+        except TypeError:
+            raise ValueError("neighbor_order must hold integer node ids") from None
+        if sorted(order) != base:
+            raise ValueError("neighbor_order must be a permutation of the neighbors")
+        base = order
+    return np.array(base, dtype=np.intp)
 
 
-def _apply_self(w_self, h_v: np.ndarray) -> np.ndarray:
-    if np.isscalar(w_self):
-        return w_self * h_v
-    return np.asarray(w_self, float) @ h_v
+def _ring_sums(feats, nbrs: np.ndarray, agg: SeqAggregator, centres=None) -> np.ndarray:
+    """Group-summed runs at B nodes of one degree d; ``nbrs`` is ``(B, d)``.
 
-
-def _rings(nbrs: list[int]) -> np.ndarray:
-    """The neighbour ids that every group element seats, one ring per row."""
-    if not nbrs:
-        return np.empty((1, 0), dtype=np.intp)
-    return np.asarray(nbrs, dtype=np.intp)[ring_powers(sigma(len(nbrs))) - 1]
+    Each ring is closed by its first item, or opened and closed by the node's
+    entry in ``centres``; all B·G runs go through one :meth:`SeqAggregator.fold`.
+    """
+    d = nbrs.shape[1]
+    seats = ring_powers(sigma(d)) if d else np.zeros((1, 0), dtype=np.intp)
+    if centres is None:
+        ids = nbrs[:, seats[:, np.r_[:d, 0]] - 1]
+    else:  # column 0 holds the centre, seat labels 1..d the neighbours
+        ids = np.column_stack([centres, nbrs])[:, np.pad(seats, ((0, 0), (1, 1)))]
+    b, group, t = ids.shape
+    return agg.fold(feats[ids.reshape(b * group, t)]).reshape(b, group, -1).sum(axis=1)
 
 
 def aggregate_node(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
@@ -183,18 +186,17 @@ def aggregate_node(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
     runs are summed, plus ``w_self·h_v``.  All runs go through one
     :meth:`SeqAggregator.fold`.  An isolated node contributes only the self
     term.  ``neighbor_order`` overrides the ascending ingestion order (it
-    must be a permutation of the neighbours); outputs are invariant exactly
-    when the override is the ingestion order pre-composed with a group
-    element.
+    must be a permutation of the neighbours' integer ids); outputs are
+    invariant exactly when the override is the ingestion order pre-composed
+    with a group element.
     """
     feats = _features_matrix(g, feats)
     nbrs = _ingestion_order(g, v, neighbor_order)
-    self_term = _apply_self(w_self, feats[v])
-    if not nbrs:
+    h_v = feats[v]
+    self_term = w_self * h_v if np.isscalar(w_self) else np.asarray(w_self, float) @ h_v
+    if not nbrs.size:
         return self_term
-    rings = _rings(nbrs)
-    seqs = feats[np.concatenate([rings, rings[:, :1]], axis=1)]
-    return agg.fold(seqs).sum(axis=0) + self_term
+    return _ring_sums(feats, nbrs[None], agg)[0] + self_term
 
 
 def aggregate_node_merged(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregator,
@@ -206,9 +208,8 @@ def aggregate_node_merged(g: Graph, v: int, feats: np.ndarray, agg: SeqAggregato
     ``(h_v, h_v)``.
     """
     feats = _features_matrix(g, feats)
-    rings = _rings(_ingestion_order(g, v, neighbor_order))
-    seqs = feats[np.pad(rings, ((0, 0), (1, 1)), constant_values=v)]
-    return agg.fold(seqs).sum(axis=0)
+    nbrs = _ingestion_order(g, v, neighbor_order)
+    return _ring_sums(feats, nbrs[None], agg, centres=[v])[0]
 
 
 def gin_layer_reference(g: Graph, v: int, feats: np.ndarray,
@@ -233,9 +234,8 @@ def readout_graph(per_layer_feats: Sequence[np.ndarray],
     for feats, scorer in zip(per_layer_feats, scorers):
         feats = np.asarray(feats, float)
         scorer = np.asarray(scorer, float)
-        if scorer.shape[1] != feats.shape[1]:
-            raise ValueError(
-                f"scorer width {scorer.shape[1]} != feature width {feats.shape[1]}")
+        if scorer.ndim != 2 or scorer.shape[1] != feats.shape[-1]:
+            raise ValueError(f"scorer must be (k, {feats.shape[-1]}), got {scorer.shape}")
         term = scorer @ feats.sum(axis=0)
         out = term if out is None else out + term
     return out
@@ -256,24 +256,35 @@ def _degree_onehot(g: Graph, width: int, clique_channel: bool) -> np.ndarray:
     return base
 
 
-def _sorted_rows(x: np.ndarray) -> np.ndarray:
-    return x[np.lexsort(x.T[::-1])]
+def _layer(g: Graph, x: np.ndarray, agg: SeqAggregator, w_self: np.ndarray) -> np.ndarray:
+    """:func:`aggregate_node` at every node, nodes of one degree folded together;
+    neighbours are seated by their feature rows, ties by id (tied neighbours
+    have equal rows, so the layer commutes with relabelling)."""
+    rank = np.unique(x, axis=0, return_inverse=True)[1]
+    out = x @ w_self.T
+    deg = g.degrees()
+    for d in np.unique(deg[deg > 0]):
+        nodes = np.flatnonzero(deg == d)
+        step = max(1, _FOLD_FEATURES // (d * d * x.shape[1]))
+        for part in (nodes[lo:lo + step] for lo in range(0, nodes.size, step)):
+            nbrs = np.nonzero(g.adjacency[part])[1].reshape(part.size, d)
+            nbrs = np.take_along_axis(nbrs, np.argsort(rank[nbrs], axis=1, kind="stable"), 1)
+            out[part] += _ring_sums(x, nbrs, agg)
+    return out
 
 
-def distinguish_by_aggregation(g1: Graph, g2: Graph,
-                               agg: SeqAggregator | None = None,
-                               layers: int = 2, *,
+def distinguish_by_aggregation(g1: Graph, g2: Graph, layers: int = 2, *,
                                clique_channel: bool = False,
-                               seed: int = 0,
-                               atol: float = 1e-9) -> bool:
+                               seed: int = 0) -> bool:
     """True when forward aggregation separates the two graphs.
 
-    Node features start as one-hot degree (optionally with the per-node
-    4-clique count as one extra channel — the engineered witness that tells
-    apart pairs colour refinement cannot).  ``layers`` rounds of
-    :func:`aggregate_node` are run on both graphs with shared weights — a
-    seeded tanh elman cell unless ``agg`` is supplied — and the verdict
-    compares the multisets of final node features at tolerance ``atol``.
+    Graphs on different node counts are separated without a forward pass.
+    Otherwise node features start as one-hot degree (optionally with the
+    per-node 4-clique count as one extra channel — the engineered witness
+    that tells apart pairs colour refinement cannot).  ``layers`` rounds of
+    :func:`_layer` run on both graphs with shared weights (a seeded tanh
+    elman cell), and the verdict compares the multisets of final node
+    features at tolerance 1e-9; relabelling either graph cannot change it.
     """
     if layers < 1:
         raise ValueError("need at least one layer")
@@ -284,25 +295,14 @@ def distinguish_by_aggregation(g1: Graph, g2: Graph,
 
     rng = np.random.default_rng(seed)
     scale = 0.7 / np.sqrt(total_width)
-    if agg is None:
-        agg = SeqAggregator.elman(
-            W=rng.standard_normal((total_width, total_width)) * scale,
-            U=rng.standard_normal((total_width, total_width)) * scale,
-            b=rng.standard_normal(total_width) * 0.1,
-            activation="tanh",
-        )
-        w_self = rng.standard_normal((total_width, total_width)) * scale
-    else:
-        w_self = np.eye(total_width)
+    W, U = rng.standard_normal((2, total_width, total_width)) * scale
+    agg = SeqAggregator.elman(W, U, rng.standard_normal(total_width) * 0.1, activation="tanh")
+    w_self = rng.standard_normal((total_width, total_width)) * scale
 
     outputs = []
     for g in (g1, g2):
         x = _degree_onehot(g, width, clique_channel)
         for _ in range(layers):
-            x = np.stack([aggregate_node(g, v, x, agg, w_self)
-                          for v in range(g.node_count)])
-        outputs.append(x)
-    a, b = outputs
-    if a.shape != b.shape:
-        return True
-    return not np.allclose(_sorted_rows(a), _sorted_rows(b), rtol=0.0, atol=atol)
+            x = _layer(g, x, agg, w_self)
+        outputs.append(x[np.lexsort(x.T[::-1])])
+    return not np.allclose(*outputs, rtol=0.0, atol=1e-9)

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcover import pg_aggregate
 from ringcover.graph_core import (
     Graph,
     add_artificial_apex,
@@ -44,6 +45,7 @@ from ringcover.perm_group import (
 )
 from ringcover.pg_aggregate import (
     SeqAggregator,
+    _layer,
     aggregate_node,
     aggregate_node_merged,
 )
@@ -102,15 +104,17 @@ def reference_coverage_report(arrs, n: int) -> CoverageReport:
                           ordered_pair_multiplicity=multiplicity)
 
 
-def reference_run(agg: SeqAggregator, seq) -> np.ndarray:
-    """One sequence, one step at a time, one matvec per step."""
-    p = agg.params
-    if agg.mode == "linear_recurrence":
+def reference_run(p: dict, seq) -> np.ndarray:
+    """One sequence, one step at a time, one matvec per step.
+
+    ``p`` holds the mode and weights that :func:`_aggregator` drew.
+    """
+    if p["mode"] == "linear_recurrence":
         state = np.zeros_like(seq[0])
         for x in seq:
             state = p["alpha"] * state + x
         return state
-    if agg.mode == "elman":
+    if p["mode"] == "elman":
         act = np.tanh if p["activation"] == "tanh" else (lambda z: z)
         y = np.zeros(p["W"].shape[0])
         for h in seq:
@@ -126,7 +130,7 @@ def _reference_order(g, v, neighbor_order):
     return list(g.neighbors(v)) if neighbor_order is None else list(neighbor_order)
 
 
-def reference_aggregate_node(g, v, feats, agg, w_self, *, neighbor_order=None):
+def reference_aggregate_node(g, v, feats, params, w_self, *, neighbor_order=None):
     """One run per group element, summed, plus the self term."""
     nbrs = _reference_order(g, v, neighbor_order)
     self_term = w_self @ feats[v]
@@ -136,22 +140,22 @@ def reference_aggregate_node(g, v, feats, agg, w_self, *, neighbor_order=None):
     total = None
     for p in generate_group(sigma(n)):
         ring = [nbrs[p(t) - 1] for t in range(1, n + 1)]
-        out = reference_run(agg, [feats[u] for u in ring] + [feats[ring[0]]])
+        out = reference_run(params, [feats[u] for u in ring] + [feats[ring[0]]])
         total = out if total is None else total + out
     return total + self_term
 
 
-def reference_aggregate_node_merged(g, v, feats, agg, *, neighbor_order=None):
+def reference_aggregate_node_merged(g, v, feats, params, *, neighbor_order=None):
     """One run per group element with the centre at both ends, summed."""
     nbrs = _reference_order(g, v, neighbor_order)
     h_v = feats[v]
     if not nbrs:
-        return reference_run(agg, [h_v, h_v])
+        return reference_run(params, [h_v, h_v])
     n = len(nbrs)
     total = None
     for p in generate_group(sigma(n)):
         seq = [h_v] + [feats[nbrs[p(t) - 1]] for t in range(1, n + 1)] + [h_v]
-        out = reference_run(agg, seq)
+        out = reference_run(params, seq)
         total = out if total is None else total + out
     return total
 
@@ -200,17 +204,22 @@ def test_coverage_report_rejects_foreign_labels():
 # ---------------------------------------------------------------------------
 
 
-def _aggregator(mode: str, width: int, rng: np.random.Generator) -> SeqAggregator:
+def _aggregator(mode: str, width: int,
+                rng: np.random.Generator) -> tuple[SeqAggregator, dict]:
+    """A random aggregator of the given mode, and the parameters it was built
+    from (the input of :func:`reference_run`)."""
     scale = 0.5 / np.sqrt(width)
     if mode == "linear_recurrence":
-        return SeqAggregator.linear_recurrence(alpha=rng.uniform(-1.0, 1.0))
+        p = dict(mode=mode, alpha=rng.uniform(-1.0, 1.0))
+        return SeqAggregator.linear_recurrence(alpha=p["alpha"]), p
     if mode == "gin_recovery":
-        return SeqAggregator.gin_recovery(W=rng.normal(size=(width, width)),
-                                          b=rng.normal(size=width))
-    return SeqAggregator.elman(W=rng.normal(size=(width, width)) * scale,
-                               U=rng.normal(size=(width, width)) * scale,
-                               b=rng.normal(size=width) * 0.1,
-                               activation=mode.split("-")[1])
+        p = dict(mode=mode, W=rng.normal(size=(width, width)), b=rng.normal(size=width))
+        return SeqAggregator.gin_recovery(W=p["W"], b=p["b"]), p
+    p = dict(mode="elman", W=rng.normal(size=(width, width)) * scale,
+             U=rng.normal(size=(width, width)) * scale,
+             b=rng.normal(size=width) * 0.1, activation=mode.split("-")[1])
+    return SeqAggregator.elman(W=p["W"], U=p["U"], b=p["b"],
+                               activation=p["activation"]), p
 
 
 def _assert_close(got, want):
@@ -233,15 +242,15 @@ def test_aggregation_equals_per_ring_loops(degree, mode, width, seed, data):
     extra = [(i, j) for i in range(v) for j in range(i + 1, v) if rng.random() < 0.3]
     g = from_edge_list(n, [(v, u) for u in range(degree)] + extra)
     feats = rng.normal(size=(n, width))
-    agg = _aggregator(mode, width, rng)
+    agg, params = _aggregator(mode, width, rng)
     w_self = rng.normal(size=(width, width))
     order = data.draw(st.none() | st.permutations(list(g.neighbors(v))))
 
     _assert_close(aggregate_node(g, v, feats, agg, w_self, neighbor_order=order),
-                  reference_aggregate_node(g, v, feats, agg, w_self,
+                  reference_aggregate_node(g, v, feats, params, w_self,
                                            neighbor_order=order))
     _assert_close(aggregate_node_merged(g, v, feats, agg, neighbor_order=order),
-                  reference_aggregate_node_merged(g, v, feats, agg,
+                  reference_aggregate_node_merged(g, v, feats, params,
                                                   neighbor_order=order))
 
 
@@ -251,13 +260,68 @@ def test_batched_fold_repeats_bit_for_bit():
     rng = np.random.default_rng(5)
     g = from_edge_list(14, [(0, u) for u in range(1, 14)])
     feats = rng.normal(size=(14, 3))
-    agg = _aggregator("elman-tanh", 3, rng)
+    agg, _ = _aggregator("elman-tanh", 3, rng)
     w_self = rng.normal(size=(3, 3))
     first = aggregate_node(g, 0, feats, agg, w_self)
     for v in range(1, 14):
         aggregate_node_merged(g, v, feats, agg)
     again = aggregate_node(g, 0, feats, agg, w_self)
     assert first.tobytes() == again.tobytes()
+
+
+@st.composite
+def _layer_inputs(draw):
+    """A graph with isolated, degree-1, degree-2 and mixed-degree nodes (fixed
+    or random, either direction), and features whose rows often tie."""
+    directed = draw(st.booleans())
+    if draw(st.booleans()):  # isolated 5 and 6, pendants 0 and 4, degree 2 and 4
+        n, edges = 7, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 1)]
+        g = from_edge_list(n, edges + [(v, u) for u, v in edges] if directed else edges,
+                           directed=directed)
+    else:
+        n = draw(st.integers(1, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        adj = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0]))
+        if not directed:
+            adj = np.triu(adj, 1) | np.triu(adj, 1).T
+        np.fill_diagonal(adj, False)
+        g = Graph(adj, directed=directed)
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, 2, size=(g.node_count, width)).astype(float)
+    else:
+        x = rng.normal(size=(g.node_count, width))
+    mode = draw(st.sampled_from(["linear_recurrence", "gin_recovery",
+                                 "elman-identity", "elman-tanh"]))
+    agg, _ = _aggregator(mode, width, rng)
+    return g, x, agg, rng.normal(size=(width, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layer_inputs())
+def test_layer_equals_aggregate_node_per_node(case):
+    # the layer seats each node's neighbours by their feature rows, ties by id:
+    # here that order comes from sorting row tuples, node by node
+    g, x, agg, w_self = case
+    got = _layer(g, x, agg, w_self)
+    assert got.shape == x.shape
+    for v in range(g.node_count):
+        order = sorted(g.neighbors(v), key=lambda u: tuple(x[u]))
+        _assert_close(got[v], aggregate_node(g, v, x, agg, w_self, neighbor_order=order))
+
+
+def test_layer_folds_a_degree_bucket_in_parts(monkeypatch):
+    # K9 with 8-wide features: every bucket holds 9 nodes of degree 8; a cap
+    # of 2000 features folds them 3 at a time (2000 // (8 * 8 * 8)), and the
+    # parts must give what the whole bucket gives
+    rng = np.random.default_rng(3)
+    g, x = gen_complete(9), rng.normal(size=(9, 8))
+    agg, _ = _aggregator("elman-tanh", 8, rng)
+    w_self = rng.normal(size=(8, 8))
+    whole = _layer(g, x, agg, w_self)
+    monkeypatch.setattr(pg_aggregate, "_FOLD_FEATURES", 2000)
+    _assert_close(_layer(g, x, agg, w_self), whole)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ringcover.perm_group import (
     coverage_report,
     generate_group,
     order,
+    ring_powers,
     sigma,
     sigma_group_order,
 )
@@ -82,6 +83,17 @@ def test_order_matches_brute_iteration(image):
         q = compose(p, q)
         steps += 1
     assert k == steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(perms)
+def test_ring_powers_are_the_powers_in_order(image):
+    p = Permutation(tuple(image))
+    q = Permutation.identity(len(image))
+    for row in ring_powers(p).tolist():
+        assert tuple(row) == q.image
+        q = compose(p, q)
+    assert q.is_identity()
 
 
 @settings(max_examples=150, deadline=None)

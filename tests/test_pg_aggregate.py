@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringcover.graph_core import (
     from_edge_list,
@@ -177,6 +179,20 @@ def test_arbitrary_reorder_changes_output_in_general():
     assert not np.allclose(base, moved, atol=1e-9)
 
 
+def test_neighbor_order_must_be_a_permutation_of_integer_ids():
+    g = gen_star(3)  # centre 0, leaves 1..3
+    feats = np.eye(4)
+    agg = SeqAggregator.linear_recurrence(alpha=0.5)
+    np.testing.assert_array_equal(
+        aggregate_node(g, 0, feats, agg, 1.0, neighbor_order=np.array([3, 1, 2])),
+        aggregate_node(g, 0, feats, agg, 1.0, neighbor_order=[3, 1, 2]))
+    for bad in ([1, 2], [1, 2, 2], [1, 2, 4], [1.5, 2, 3], [1.0, 2, 3], ["1", 2, 3]):
+        with pytest.raises(ValueError):
+            aggregate_node(g, 0, feats, agg, 1.0, neighbor_order=bad)
+        with pytest.raises(ValueError):
+            aggregate_node_merged(g, 0, feats, agg, neighbor_order=bad)
+
+
 def test_isolated_node_is_self_term_only():
     g = from_edge_list(3, [(0, 1)])
     feats = np.arange(9, dtype=float).reshape(3, 3)
@@ -261,19 +277,30 @@ def test_readout_validates_shapes():
         readout_graph([np.zeros((2, 2))], [np.zeros((1, 3))])
     with pytest.raises(ValueError):
         readout_graph([np.zeros((2, 2))], [])
+    with pytest.raises(ValueError):
+        readout_graph([np.zeros((2, 2))], [np.zeros(2)])
 
 
 # --- separation ----------------------------------------------------------------
 
 
 def test_identical_graphs_never_distinguished():
-    # same numbering -> same ingestion order -> identical features.  A
-    # relabeled copy reorders every adjacency list and is NOT promised to
-    # come out equal (the ring family only absorbs its own shuffles), so
-    # only identically-numbered copies are asserted here.
+    # the verdict seats each node's neighbours by their features, so equal
+    # graphs give equal features; relabelled copies are covered below
     assert not distinguish_by_aggregation(gen_complete(4), gen_complete(4))
     g = gen_erdos_renyi(10, 0.4, seed=8)
     assert not distinguish_by_aggregation(g, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), p=st.sampled_from([0.0, 0.2, 0.35, 0.5, 0.8]),
+       seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
+       clique_channel=st.booleans())
+def test_relabelled_copies_never_distinguished(n, p, seed, layers, clique_channel):
+    g = gen_erdos_renyi(n, p, seed=seed)
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    assert not distinguish_by_aggregation(g, g.relabel(perm), layers,
+                                          clique_channel=clique_channel, seed=seed % 7)
 
 
 def test_degree_blind_pair_needs_the_clique_channel():
