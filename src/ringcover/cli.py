@@ -125,13 +125,12 @@ def _cmd_count(ns: argparse.Namespace) -> int:
 
 def _cmd_cover(ns: argparse.Namespace) -> int:
     group = generate_group(sigma(ns.n))
-    arrs = arrangements(group)
     if ns.emit == "arrangements":
-        _emit(ns, {"n": ns.n, "rings": [list(a.ring) for a in arrs]},
-              ["arrangement", "ring"],
-              [[i, " ".join(map(str, a.ring))] for i, a in enumerate(arrs)])
+        rings = group.rings.tolist()
+        _emit(ns, {"n": ns.n, "rings": rings}, ["arrangement", "ring"],
+              [[i, " ".join(map(str, r))] for i, r in enumerate(rings)])
         return 0
-    report = coverage_report(arrs, ns.n)
+    report = coverage_report(arrangements(group), ns.n)
     rep = report.to_json_dict()
     rep["all_pairs_covered_after"] = report.all_pairs_covered_after()
     _emit(ns, rep,
@@ -219,7 +218,8 @@ def _cmd_distinguish(ns: argparse.Namespace) -> int:
     plain = distinguish_by_aggregation(g1, g2, layers=ns.layers, seed=ns.seed,
                                        clique_channel=False)
     if plain:
-        distinguished, witness = True, "degree"
+        distinguished = True
+        witness = "size" if g1.node_count != g2.node_count else "degree"
     elif ns.witness != "none":
         with_clique = distinguish_by_aggregation(g1, g2, layers=ns.layers,
                                                  seed=ns.seed, clique_channel=True)

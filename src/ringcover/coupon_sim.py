@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -121,41 +122,6 @@ def _kcoupon_alternating(m: int, k: int) -> float:
     return float(Fraction(acc, scale))
 
 
-def _f190_mul(m1: int, e1: int, m2: int, e2: int, shift: int) -> tuple[int, int]:
-    """Multiply two normalized (mantissa, exponent) pairs; value = m·2^(e−shift)."""
-    prod = (m1 * m2) >> shift
-    e = e1 + e2
-    if prod >> shift:
-        prod >>= 1
-        e += 1
-    low = 1 << (shift - 2)
-    while prod < low:
-        prod <<= 1
-        e -= 1
-    return prod, e
-
-
-def _float190_pow(num: int, den: int, s: int, shift: int) -> tuple[int, int]:
-    """(num/den)^s as (mantissa, exponent) with value = mant·2^(exp−shift).
-
-    Keeps ~``shift`` bits of *relative* precision whatever the magnitude, so
-    the result can safely be multiplied by an enormous exact binomial
-    afterwards.  A plain fixed-point power would floor to zero long before
-    the combined term C(m,i)·q_i^s becomes negligible.
-    """
-    e0 = num.bit_length() - den.bit_length() + 1
-    if shift >= e0:
-        mant = (num << (shift - e0)) // den
-    else:
-        mant = num // (den << (e0 - shift))
-    rm, re = 1 << (shift - 1), 1  # the pair encoding exactly 1.0
-    for bit in bin(s)[2:]:
-        rm, re = _f190_mul(rm, re, rm, re, shift)
-        if bit == "1":
-            rm, re = _f190_mul(rm, re, mant, e0, shift)
-    return rm, re
-
-
 def _kcoupon_tail_sum(m: int, k: int) -> float:
     """E[X] = Σ_{s≥0} Pr(X > s), evaluated only where it is informative.
 
@@ -188,29 +154,29 @@ def _kcoupon_tail_sum(m: int, k: int) -> float:
 
     # per-draw miss ratios q_i = C(m−i,k)/C(m,k) and whole terms
     # P_i = C(m,i)·q_i^{s_start}, all scaled by 2^shift.  The term is always
-    # assembled from a relative-precision power (or an exact rational floor
-    # when s_start = 1) so that a huge C(m,i) never amplifies a fixed-point
-    # flooring error.
+    # assembled from a 60-digit decimal power, whose precision is relative
+    # (or from an exact rational floor when s_start = 1), so that a huge
+    # C(m,i) never amplifies a fixed-point flooring error.
     s_start = s_low + 1
+    unit = 1 << shift
     q_scaled: list[int] = []
     powers: list[int] = []
     cmi = 1
     cmik = cmk
-    for i in range(1, i_max + 1):
-        cmi = cmi * (m - i + 1) // i
-        cmik = cmik * (m - i + 1 - k) // (m - i + 1) if m - i + 1 > k else 0
-        if cmik == 0:
-            break  # q_i = 0: this and every later term vanish identically
-        q_scaled.append((cmik << shift) // cmk)
-        if s_start == 1:
-            powers.append((cmi * cmik << shift) // cmk)
-        else:
-            mant, e = _float190_pow(cmik, cmk, s_start, shift)
-            whole = cmi * mant
-            powers.append(whole << e if e >= 0 else whole >> -e)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i in range(1, i_max + 1):
+            cmi = cmi * (m - i + 1) // i
+            cmik = cmik * (m - i + 1 - k) // (m - i + 1) if m - i + 1 > k else 0
+            if cmik == 0:
+                break  # q_i = 0: this and every later term vanish identically
+            q_scaled.append((cmik << shift) // cmk)
+            if s_start == 1:
+                powers.append((cmi * cmik << shift) // cmk)
+            else:
+                powers.append(int(cmi * (Decimal(cmik) / cmk) ** s_start * unit))
 
     total_scaled = 0
-    unit = 1 << shift
     survival_cut = unit // 10**19  # truncate once Pr(X>s) is below 1e-19
     while True:
         while powers and powers[-1] == 0:  # dead terms stay dead

@@ -374,21 +374,22 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 500) -> Gr
     )
 
 
+def _cayley_z4xz4(connection: set[tuple[int, int]]) -> Graph:
+    """Cayley graph on Z4 x Z4, node ``4x + y``: ``a`` and ``b`` are adjacent
+    when ``b - a`` lies in the connection set (symmetric, without (0, 0))."""
+    x, y = np.divmod(np.arange(16), 4)
+    diff = (x[None, :] - x[:, None]) % 4 * 4 + (y[None, :] - y[:, None]) % 4
+    return Graph(np.isin(diff, [4 * dx + dy for dx, dy in connection]))
+
+
 def gen_rooks_4x4() -> Graph:
     """Rook's-move graph on a 4x4 board: same row or same column.
 
+    The Cayley graph on Z4 x Z4 with connection set {(a,0), (0,a) : a ≠ 0}.
     Strongly regular with parameters (16, 6, 2, 2); every node lies in
     exactly two 4-cliques (its row and its column).
     """
-    n = 16
-    adj = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            if a // 4 == b // 4 or a % 4 == b % 4:
-                adj[a, b] = True
-    return Graph(adj)
+    return _cayley_z4xz4({(a, 0) for a in (1, 2, 3)} | {(0, a) for a in (1, 2, 3)})
 
 
 def gen_shrikhande() -> Graph:
@@ -398,15 +399,4 @@ def gen_shrikhande() -> Graph:
     graph but contains no 4-clique at all — the canonical witness pair for
     anything colour-refinement cannot see.
     """
-    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    n = 16
-    adj = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        ax, ay = divmod(a, 4)
-        for b in range(n):
-            if a == b:
-                continue
-            bx, by = divmod(b, 4)
-            if ((bx - ax) % 4, (by - ay) % 4) in diffs:
-                adj[a, b] = True
-    return Graph(adj)
+    return _cayley_z4xz4({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})

@@ -13,7 +13,7 @@ Permutations act on 1-based labels: ``p(i)`` is the label written in seat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -92,15 +92,20 @@ class Permutation:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """The cyclic group generated by one permutation, elements in power order:
-    ``elements[k]`` is the k-th power of the generator (``elements[0]`` is the
-    identity)."""
+    """The cyclic group generated by one permutation, stored only as the
+    read-only ``(G, n)`` array of :func:`ring_powers`: row ``k`` is the k-th
+    power, row 0 the identity.  ``==`` and ``hash`` follow the generator;
+    ``elements`` wraps the rows as :class:`Permutation` objects when read."""
 
     generator: Permutation
-    elements: tuple[Permutation, ...]
+    rings: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self.rings.tolist())
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rings)
 
     def __iter__(self):
         return iter(self.elements)
@@ -207,8 +212,9 @@ def ring_powers(g: Permutation) -> np.ndarray:
 
 def generate_group(g: Permutation) -> PermutationGroup:
     """All distinct powers of ``g`` in power order, identity first."""
-    elements = tuple(Permutation(tuple(row)) for row in ring_powers(g).tolist())
-    return PermutationGroup(generator=g, elements=elements)
+    rings = ring_powers(g)
+    rings.setflags(write=False)
+    return PermutationGroup(generator=g, rings=rings)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def arrangements(group: PermutationGroup) -> list[Arrangement]:
     Seat ``t`` of the arrangement for element ``g`` holds the label ``g(t)``;
     the identity arrangement is the initial ring ``1, 2, .., n``.
     """
-    return [Arrangement(ring=g.image) for g in group]
+    return [Arrangement(ring=tuple(row)) for row in group.rings.tolist()]
 
 
 @dataclass(frozen=True)
@@ -253,11 +259,8 @@ class CoverageReport:
 
     def all_pairs_covered_after(self) -> int | None:
         """Smallest prefix length covering every unordered pair, if any."""
-        target = self.total_unordered_pairs
-        for b in sorted(self.unordered_pairs_covered_after):
-            if self.unordered_pairs_covered_after[b] >= target:
-                return b
-        return None
+        covered = sorted(self.unordered_pairs_covered_after.items())
+        return next((b for b, c in covered if c >= self.total_unordered_pairs), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,18 +279,19 @@ class CoverageReport:
 def coverage_report(arrs: Sequence[Arrangement], n: int) -> CoverageReport:
     """Tally pair coverage over a list of arrangements of ``1..n``.
 
-    The rings are stacked into one ``(G, n)`` array and tallied at once.
-    Rings of one seat contribute nothing.  A pair seated adjacently twice
-    inside one ring (only possible when ``n == 2``, where the ring closes back
-    over the same pair) is still a single occurrence of that ring for the
-    disjointness check, which compares distinct arrangements only.
+    Every ring must seat each label ``1..n`` once; the rings are stacked into
+    one ``(G, n)`` array and tallied at once, and rings of one seat add
+    nothing.  For ``n >= 3`` a ring's leading-block pairs are then the edges
+    of a cycle (odd ``n``) or a path (even ``n``) through distinct labels, so
+    no ring repeats a pair of its own and the block is disjoint iff no
+    unordered pair occurs in it twice.  For ``n <= 2`` the block is empty.
     """
     for a in arrs:
         if len(a.ring) != n:
             raise ValueError(f"arrangement {a.ring} is not on {n} labels")
     rings = np.array([a.ring for a in arrs], dtype=np.int64).reshape(len(arrs), n)
-    if rings.size and (rings.min() < 1 or rings.max() > n):
-        raise ValueError(f"arrangement labels must lie in 1..{n}")
+    if not (np.sort(rings, axis=1) == np.arange(1, n + 1)).all():
+        raise ValueError(f"every arrangement must seat each label 1..{n} once")
 
     count, side = len(arrs), n + 1
     seats = n if n >= 2 else 0
@@ -304,16 +308,11 @@ def coverage_report(arrs: Sequence[Arrangement], n: int) -> CoverageReport:
 
     block = max((n - 1) // 2, 0)
     lead = unordered[:block, : n - 1 if n % 2 == 0 else n]
-    # each (ring, pair) once, so a pair repeated inside one ring is no clash
-    seated = np.unique(lead + np.arange(len(lead))[:, None] * side * side)
-    disjoint = np.unique(seated % (side * side)).size == seated.size
+    disjoint = np.bincount(lead.ravel(), minlength=1).max() <= 1
 
     ids = np.flatnonzero(ordered)
     a, b = np.divmod(ids, side)
     multiplicity = dict(zip(zip(a.tolist(), b.tolist()), ordered[ids].tolist()))
-    return CoverageReport(
-        n=n,
-        unordered_pairs_covered_after=covered_after,
-        first_block_disjoint=bool(disjoint),
-        ordered_pair_multiplicity=multiplicity,
-    )
+    return CoverageReport(n=n, unordered_pairs_covered_after=covered_after,
+                          first_block_disjoint=bool(disjoint),
+                          ordered_pair_multiplicity=multiplicity)

@@ -197,6 +197,9 @@ def test_coverage_report_rejects_foreign_labels():
         coverage_report([Arrangement(ring=(0, 1, 2))], 3)
     with pytest.raises(ValueError):
         coverage_report([Arrangement(ring=(1, 2))], 3)
+    # labels in range, but one seated twice: its self-pair is no coverage
+    with pytest.raises(ValueError):
+        coverage_report([Arrangement(ring=(1, 1, 2))], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringcover import wl
+from ringcover import cli, wl
 from ringcover.cli import main
 from ringcover.graph_core import gen_cycle, gen_erdos_renyi, write_edge_list
+from ringcover.perm_group import ring_powers, sigma
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,15 @@ def test_distinguish_degree_witness(capsys):
     assert result["witness"] == "degree"
 
 
+def test_distinguish_size_witness(capsys):
+    # different node counts are told apart before any degree feature is built
+    code, out, _ = run_cli(capsys, "distinguish", "--a", "complete:4",
+                           "--b", "complete:5")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"distinguished": True, "witness": "size", "layers": 2}
+
+
 def test_wl_file_inputs(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     write_edge_list(gen_erdos_renyi(9, 0.35, seed=1), a)
@@ -353,10 +363,14 @@ def _argvs(d):
 
     kinds = st.sampled_from(["triangle", "4clique", "wedge", "clustering",
                              "directed-triangle"])
+    sized = st.builds("{}:{}".format, st.sampled_from(["complete", "cycle", "star"]),
+                      st.integers(3, 6).map(str))
     return st.one_of(
         cmd("count", source, opt("--kind", kinds), seed, out),
         cmd("cover", opt("--n", ints),
             maybe("--emit", st.sampled_from(["report", "arrangements"])), out),
+        cmd("cover", opt("--n", st.integers(1, 12).map(str)),
+            st.just(["--emit", "arrangements"]), out),
         cmd("wl", opt("--a", graph), opt("--b", graph), maybe("--k", st.integers(-1, 4).map(str)),
             seed, out),
         cmd("estimate", source, opt("--node", st.integers(0, 3).map(str) | ints),
@@ -373,6 +387,8 @@ def _argvs(d):
         cmd("distinguish", opt("--a", graph), opt("--b", graph),
             maybe("--layers", st.integers(-1, 3).map(str)),
             maybe("--witness", st.sampled_from(["auto", "none"])), seed, out),
+        # well-formed pairs, often of different node counts
+        cmd("distinguish", opt("--a", sized), opt("--b", sized), seed, out),
     )
 
 
@@ -388,6 +404,14 @@ def test_fuzzed_argv_exits_cleanly(fuzz_dir, data):
         assert out and not err
         if argv[0] == "coupon":  # a sweep that succeeds has at least one row
             assert len(out.splitlines()) > 1 if "csv" in argv else json.loads(out)["result"]["rows"]
+        if "csv" not in argv:
+            result = json.loads(out)["result"]
+            if argv[0] == "cover" and "arrangements" in argv:
+                assert result["rings"] == ring_powers(sigma(result["n"])).tolist()
+            if argv[0] == "distinguish":
+                g1, g2 = cli._load_pair(cli._build_parser().parse_args(argv))
+                sizes_differ = g1.node_count != g2.node_count
+                assert (result["witness"] == "size") == sizes_differ, (argv, result)
     else:
         assert code == 1, argv
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)

@@ -214,6 +214,22 @@ def test_srg_16_6_2_2_parameters(make):
     assert lam == {2} and mu == {2}
 
 
+def _board_rule(adjacent) -> np.ndarray:
+    """16 x 16 adjacency of the 4 x 4 board, node ``4x + y``, by a pair rule."""
+    return np.array([[a != b and adjacent(divmod(a, 4), divmod(b, 4)) for b in range(16)]
+                     for a in range(16)])
+
+
+def test_rook_and_shrikhande_follow_their_rules():
+    # the generators build both as Cayley graphs on Z4 x Z4; rebuild them
+    # pair by pair from the rules that define them
+    rook = _board_rule(lambda a, b: a[0] == b[0] or a[1] == b[1])
+    shri_diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shri = _board_rule(lambda a, b: ((b[0] - a[0]) % 4, (b[1] - a[1]) % 4) in shri_diffs)
+    assert np.array_equal(gen_rooks_4x4().adjacency, rook)
+    assert np.array_equal(gen_shrikhande().adjacency, shri)
+
+
 def test_the_two_srgs_are_not_isomorphic_by_local_structure():
     # Shrikhande's neighborhoods are 6-cycles; Rook's split into two triangles.
     rook = gen_rooks_4x4()

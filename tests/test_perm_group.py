@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,41 @@ def test_generated_group_is_closed_with_inverses(n):
         assert p.inverse() in elems
         for q in elems:
             assert compose(p, q) in elems
+
+
+@settings(max_examples=100, deadline=None)
+@given(perms)
+def test_group_stores_the_read_only_powers(image):
+    g = Permutation(tuple(image))
+    group = generate_group(g)
+    assert np.array_equal(group.rings, ring_powers(g))
+    assert not group.rings.flags.writeable
+    with pytest.raises(ValueError):
+        group.rings[0, 0] = 1
+    want = tuple(Permutation(tuple(row)) for row in ring_powers(g).tolist())
+    assert group.elements == want
+    assert tuple(group) == want and len(group) == len(want)
+
+
+def test_groups_compare_by_their_generator():
+    a, b = generate_group(sigma(7)), generate_group(sigma(7))
+    assert a.rings is not b.rings
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != generate_group(sigma(8))
+
+
+def test_group_and_coverage_build_no_permutation(monkeypatch):
+    g = sigma(12)
+    built = []
+    check = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__",
+                        lambda self: (built.append(self.image), check(self)))
+    group = generate_group(g)
+    rep = coverage_report(arrangements(group), 12)
+    assert built == []
+    assert rep.all_pairs_covered_after() == 6
+    # reading ``elements`` does build them, so the spy is live
+    assert len(group.elements) == len(built) == 12
 
 
 def test_order_is_lcm_of_cycle_lengths():
