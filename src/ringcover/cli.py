@@ -215,20 +215,13 @@ def _cmd_coupon(ns: argparse.Namespace) -> int:
 def _cmd_distinguish(ns: argparse.Namespace) -> int:
     g1, g2 = _load_pair(ns)
     witness = None
-    plain = distinguish_by_aggregation(g1, g2, layers=ns.layers, seed=ns.seed,
-                                       clique_channel=False)
-    if plain:
-        distinguished = True
+    if distinguish_by_aggregation(g1, g2, seed=ns.seed):
         witness = "size" if g1.node_count != g2.node_count else "degree"
-    elif ns.witness != "none":
-        with_clique = distinguish_by_aggregation(g1, g2, layers=ns.layers,
-                                                 seed=ns.seed, clique_channel=True)
-        distinguished = with_clique
-        witness = "4clique" if with_clique else None
-    else:
-        distinguished = False
-    result = {"distinguished": distinguished, "witness": witness,
-              "layers": ns.layers}
+    elif ns.witness != "none" and distinguish_by_aggregation(g1, g2, seed=ns.seed,
+                                                             clique_channel=True):
+        witness = "4clique"
+    distinguished = witness is not None
+    result = {"distinguished": distinguished, "witness": witness}
     _emit(ns, result, ["distinguished", "witness"], [[distinguished, witness]])
     return 0
 
@@ -295,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, gen_input=False)
     p.add_argument("--a", required=True, help="generator spec or edge-list file")
     p.add_argument("--b", required=True, help="generator spec or edge-list file")
-    p.add_argument("--layers", type=int, default=2)
     p.add_argument("--witness", choices=("auto", "none"), default="auto",
                    help="auto: add the 4-clique channel when degrees alone fail")
     p.set_defaults(func=_cmd_distinguish)

@@ -44,6 +44,9 @@ __all__ = [
 #: :func:`add_artificial_apex`).
 APEX_SENTINEL = -1
 
+#: fresh pairings :func:`gen_random_regular` tries before giving up
+_REGULAR_RESTARTS = 500
+
 
 class Graph:
     """Immutable graph over nodes ``0 .. n-1`` with dense boolean adjacency.
@@ -159,10 +162,6 @@ class InducedNeighborhood:
     subgraph: Graph
     center: int
     local_to_global: tuple[int, ...] = field(default=())
-
-    @property
-    def center_degree(self) -> int:
-        return self.subgraph.degree(self.center)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +321,13 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(adj)
 
 
-def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 500) -> Graph:
+def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     """Random ``d``-regular graph via the pairing (configuration) model.
 
     Stubs are shuffled and paired; pairs that would create a loop or repeat an
     existing edge are thrown back into the pool and re-shuffled.  If a pool
     stops making progress the attempt restarts from scratch, up to
-    ``max_restarts`` times.  (Plain accept/reject on whole pairings has a
+    ``_REGULAR_RESTARTS`` times.  (Plain accept/reject on whole pairings has a
     success rate around ``exp(-(d²-1)/4)`` and is hopeless already at d=6;
     recycling only the clashing stubs keeps the same flavour at usable speed.
     Exact uniformity over regular graphs is not needed by any consumer here.)
@@ -343,7 +342,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 500) -> Gr
         return Graph(np.zeros((n, n), dtype=bool))
 
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(_REGULAR_RESTARTS):
         adj = np.zeros((n, n), dtype=bool)
         pool = np.repeat(np.arange(n), d)
         stuck = 0
@@ -370,7 +369,7 @@ def gen_random_regular(n: int, d: int, seed: int, max_restarts: int = 500) -> Gr
             return Graph(adj)
     raise ValueError(
         f"could not realise a simple {d}-regular graph on {n} nodes "
-        f"after {max_restarts} restarts"
+        f"after {_REGULAR_RESTARTS} restarts"
     )
 
 

@@ -13,6 +13,7 @@ Permutations act on 1-based labels: ``p(i)`` is the label written in seat
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,7 +50,11 @@ class Permutation:
         n = len(self.image)
         if n < 1:
             raise ValueError("permutation degree must be at least 1")
-        if sorted(self.image) != list(range(1, n + 1)):
+        try:
+            labels = sorted(map(operator.index, self.image))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers: {self.image}") from None
+        if labels != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.image}")
 
     @staticmethod
@@ -289,7 +294,10 @@ def coverage_report(arrs: Sequence[Arrangement], n: int) -> CoverageReport:
     for a in arrs:
         if len(a.ring) != n:
             raise ValueError(f"arrangement {a.ring} is not on {n} labels")
-    rings = np.array([a.ring for a in arrs], dtype=np.int64).reshape(len(arrs), n)
+    rings = np.array([a.ring for a in arrs])
+    if rings.size and rings.dtype.kind not in "iu":
+        raise ValueError(f"arrangement labels must be integers, got {rings.dtype}")
+    rings = rings.astype(np.int64, copy=False).reshape(len(arrs), n)
     if not (np.sort(rings, axis=1) == np.arange(1, n + 1)).all():
         raise ValueError(f"every arrangement must seat each label 1..{n} once")
 

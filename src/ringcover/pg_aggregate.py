@@ -273,21 +273,22 @@ def _layer(g: Graph, x: np.ndarray, agg: SeqAggregator, w_self: np.ndarray) -> n
     return out
 
 
-def distinguish_by_aggregation(g1: Graph, g2: Graph, layers: int = 2, *,
-                               clique_channel: bool = False,
+def distinguish_by_aggregation(g1: Graph, g2: Graph, *, clique_channel: bool = False,
                                seed: int = 0) -> bool:
     """True when forward aggregation separates the two graphs.
 
     Graphs on different node counts are separated without a forward pass.
     Otherwise node features start as one-hot degree (optionally with the
     per-node 4-clique count as one extra channel — the engineered witness
-    that tells apart pairs colour refinement cannot).  ``layers`` rounds of
-    :func:`_layer` run on both graphs with shared weights (a seeded tanh
-    elman cell), and the verdict compares the multisets of final node
-    features at tolerance 1e-9; relabelling either graph cannot change it.
+    that tells apart pairs colour refinement cannot).  :func:`_layer` runs on
+    both graphs with shared weights (a seeded tanh elman cell) until the
+    features add no class to the joint partition of both graphs; as in colour
+    refinement, a class is a distinct row ``[previous class | features]``, and
+    the plain verdict is ``wl_distinguish(g1, g2, 1)``.  It compares the final
+    feature multisets at tolerance 1e-9, so neither relabelling nor rounding
+    changes it: a true split moves rows far more than rounding, so the loop
+    never stops early, and bit-different rows of one class only cost layers.
     """
-    if layers < 1:
-        raise ValueError("need at least one layer")
     if g1.node_count != g2.node_count:
         return True
     width = int(max(g1.degrees().max(), g2.degrees().max())) + 1
@@ -299,10 +300,14 @@ def distinguish_by_aggregation(g1: Graph, g2: Graph, layers: int = 2, *,
     agg = SeqAggregator.elman(W, U, rng.standard_normal(total_width) * 0.1, activation="tanh")
     w_self = rng.standard_normal((total_width, total_width)) * scale
 
-    outputs = []
-    for g in (g1, g2):
-        x = _degree_onehot(g, width, clique_channel)
-        for _ in range(layers):
-            x = _layer(g, x, agg, w_self)
-        outputs.append(x[np.lexsort(x.T[::-1])])
-    return not np.allclose(*outputs, rtol=0.0, atol=1e-9)
+    xs = [_degree_onehot(g, width, clique_channel) for g in (g1, g2)]
+    ids = np.zeros(2 * g1.node_count)
+    # classes only split and number at most 2n, so at most 2n layers run; a
+    # start with one class runs none, as every layer keeps equal rows equal
+    while True:
+        rows = np.column_stack([ids, np.vstack(xs)])
+        ids, before = np.unique(rows, axis=0, return_inverse=True)[1].ravel(), ids
+        if ids.max() == before.max():
+            break
+        xs = [_layer(g, x, agg, w_self) for g, x in zip((g1, g2), xs)]
+    return not np.allclose(*(x[np.lexsort(x.T[::-1])] for x in xs), rtol=0.0, atol=1e-9)

@@ -59,10 +59,6 @@ class ColorHistogram:
     def class_counts(self) -> tuple[int, ...]:
         return tuple(len(h) for h in self.iterations)
 
-    @property
-    def stable_classes(self) -> int:
-        return len(self.iterations[-1])
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ringcover import cli, wl
 from ringcover.cli import main
-from ringcover.graph_core import gen_cycle, gen_erdos_renyi, write_edge_list
+from ringcover.graph_core import from_edge_list, gen_cycle, gen_erdos_renyi, write_edge_list
 from ringcover.perm_group import ring_powers, sigma
 
 
@@ -178,7 +178,7 @@ def test_distinguish_auto_witness(capsys):
     code, out, _ = run_cli(capsys, "distinguish", "--a", "rooks",
                            "--b", "shrikhande")
     result = json.loads(out)["result"]
-    assert result == {"distinguished": True, "witness": "4clique", "layers": 2}
+    assert result == {"distinguished": True, "witness": "4clique"}
 
 
 def test_distinguish_witness_none_stays_blind(capsys):
@@ -203,7 +203,31 @@ def test_distinguish_size_witness(capsys):
                            "--b", "complete:5")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result == {"distinguished": True, "witness": "size", "layers": 2}
+    assert result == {"distinguished": True, "witness": "size"}
+
+
+def test_distinguish_agrees_with_wl_on_the_caterpillar_pair(tmp_path, capsys):
+    # a 13-node path with a leaf on node 5 against the leaf on node 6: two
+    # aggregation layers miss the difference, the fixed point does not
+    files = []
+    for leaf_at in (5, 6):
+        files.append(str(tmp_path / f"leaf{leaf_at}.txt"))
+        write_edge_list(from_edge_list(14, [(i, i + 1) for i in range(12)] + [(leaf_at, 13)]),
+                        files[-1])
+    verdicts = []
+    for command in ("wl", "distinguish"):
+        code, out, _ = run_cli(capsys, command, "--a", files[0], "--b", files[1])
+        assert code == 0
+        verdicts.append(json.loads(out)["result"]["distinguished"])
+    assert verdicts == [True, True]
+
+
+def test_distinguish_has_no_layer_count(capsys):
+    with pytest.raises(SystemExit):
+        main(["distinguish", "--help"])
+    assert "--layers" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["distinguish", "--a", "rooks", "--b", "shrikhande", "--layers", "2"])
 
 
 def test_wl_file_inputs(tmp_path, capsys):
@@ -385,7 +409,6 @@ def _argvs(d):
             maybe("--trials", st.integers(-1, 5).map(str)),
             st.sampled_from([[], ["--directed"]]), seed, out),
         cmd("distinguish", opt("--a", graph), opt("--b", graph),
-            maybe("--layers", st.integers(-1, 3).map(str)),
             maybe("--witness", st.sampled_from(["auto", "none"])), seed, out),
         # well-formed pairs, often of different node counts
         cmd("distinguish", opt("--a", sized), opt("--b", sized), seed, out),

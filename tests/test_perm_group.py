@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringcover.perm_group import (
+    Arrangement,
     Permutation,
     act,
     arrangements,
@@ -224,3 +225,15 @@ def test_coverage_json_shape():
     assert d["n"] == 6
     assert isinstance(d["ordered_pair_multiplicity"], dict)
     assert all("-" in key for key in d["ordered_pair_multiplicity"])
+
+
+def test_permutation_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="integers"):
+        Permutation((1.0, 2, 3))
+    assert Permutation((np.int64(2), np.int32(1))).image == (2, 1)
+
+
+def test_coverage_rejects_non_integer_labels():
+    # a cast to int64 would truncate 1.7 and report the ring (1, 2, 3)
+    with pytest.raises(ValueError, match="integers"):
+        coverage_report([Arrangement(ring=(1.7, 2, 3))], 3)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringcover.graph_core import (
@@ -18,6 +18,8 @@ from ringcover.graph_core import (
 from ringcover.perm_group import act, generate_group, sigma
 from ringcover.pg_aggregate import (
     SeqAggregator,
+    _degree_onehot,
+    _layer,
     aggregate_node,
     aggregate_node_merged,
     distinguish_by_aggregation,
@@ -25,6 +27,7 @@ from ringcover.pg_aggregate import (
     linear_recurrence,
     readout_graph,
 )
+from ringcover.wl import _refine_joint, wl_compare
 
 
 def _rng(seed=0):
@@ -294,12 +297,11 @@ def test_identical_graphs_never_distinguished():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), p=st.sampled_from([0.0, 0.2, 0.35, 0.5, 0.8]),
-       seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
-       clique_channel=st.booleans())
-def test_relabelled_copies_never_distinguished(n, p, seed, layers, clique_channel):
+       seed=st.integers(0, 2**32 - 1), clique_channel=st.booleans())
+def test_relabelled_copies_never_distinguished(n, p, seed, clique_channel):
     g = gen_erdos_renyi(n, p, seed=seed)
     perm = np.random.default_rng(seed).permutation(n).tolist()
-    assert not distinguish_by_aggregation(g, g.relabel(perm), layers,
+    assert not distinguish_by_aggregation(g, g.relabel(perm),
                                           clique_channel=clique_channel, seed=seed % 7)
 
 
@@ -315,3 +317,64 @@ def test_different_degree_sequences_distinguish_plainly():
 
 def test_different_sizes_trivially_distinguish():
     assert distinguish_by_aggregation(gen_complete(4), gen_complete(5))
+
+
+def _caterpillar(leaf_at):
+    """A 13-node path with one leaf hung on node ``leaf_at``."""
+    return from_edge_list(14, [(i, i + 1) for i in range(12)] + [(leaf_at, 13)])
+
+
+def _degree_preserving_twin(g, seed):
+    """``g`` after random double edge swaps: ab, cd -> ad, cb when both new
+    edges are absent, so every degree is kept."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(e) for e in g.edges()]
+    for _ in range(4 * len(edges) if len(edges) > 1 else 0):
+        i, j = rng.choice(len(edges), 2, replace=False)
+        (a, b), (c, d) = edges[i], edges[j]
+        present = set(edges) | {(v, u) for u, v in edges}
+        if len({a, b, c, d}) == 4 and (a, d) not in present and (c, b) not in present:
+            edges[i], edges[j] = (a, d), (c, b)
+    return from_edge_list(g.node_count, edges)
+
+
+def _random_pair(n, p, seed):
+    g = gen_erdos_renyi(n, p, seed=seed)
+    return g, _degree_preserving_twin(g, seed)
+
+
+_PAIRS = st.builds(_random_pair, st.integers(6, 15), st.sampled_from([0.15, 0.25, 0.35, 0.5]),
+                   st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_PAIRS, seed=st.integers(0, 6))
+@example(pair=(_caterpillar(5), _caterpillar(6)), seed=0)
+def test_plain_verdict_is_colour_refinement(pair, seed):
+    # layers run to the fixed point, so the plain verdict is 1-WL's, also
+    # where two layers are too few (the caterpillar pair needs three)
+    g1, g2 = pair
+    assert np.array_equal(np.sort(g1.degrees()), np.sort(g2.degrees()))
+    assert distinguish_by_aggregation(g1, g2, seed=seed) == wl_compare(g1, g2, 1)[0]
+
+
+def _same_partition(a, b):
+    pairs = np.unique(np.column_stack([a, b]), axis=0)
+    return len(pairs) == len(np.unique(a)) == len(np.unique(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_PAIRS, seed=st.integers(0, 2**32 - 1))
+def test_each_layer_is_one_round_of_colour_refinement(pair, seed):
+    g1, g2 = pair
+    rounds = [np.concatenate(r) for r in zip(*_refine_joint([g1, g2], 1))]
+    width = int(g1.degrees().max()) + 1
+    rng = np.random.default_rng(seed)
+    W, U, w_self = rng.standard_normal((3, width, width)) * 0.7 / np.sqrt(width)
+    agg = SeqAggregator.elman(W, U, rng.standard_normal(width) * 0.1, activation="tanh")
+    xs = [_degree_onehot(g, width, False) for g in (g1, g2)]
+    for t in range(len(rounds) + 1):
+        # features before layer t+1 against round t+1 (round 0 is all one colour)
+        joint = np.unique(np.vstack(xs), axis=0, return_inverse=True)[1].ravel()
+        assert _same_partition(joint, rounds[min(t + 1, len(rounds) - 1)]), t
+        xs = [_layer(g, x, agg, w_self) for g, x in zip((g1, g2), xs)]
