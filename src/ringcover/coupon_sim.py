@@ -9,10 +9,11 @@ appeared?  The closed form is the inclusion–exclusion sum
 whose terms reach astronomical magnitudes while the result stays near
 (m/k)·ln m — naive floating point dies long before the m ≈ 5·10⁵ needed for
 1000-node sweeps.  Terms are therefore evaluated in exact scaled-integer
-arithmetic, and for very large m the expectation is instead accumulated as
-Σ_s Pr(X > s) over the narrow window of s where the survival probability is
-neither 1 nor 0 (outside it, negative association of the per-coupon events
-bounds Pr(X ≤ s) ≤ exp(−m·q₁ˢ), certifying the plateau).
+arithmetic.  For large m the expectation is instead taken as Σ_s Pr(X > s):
+Pr(X > s) is taken as 1 below an s₀ certified by negative association of
+the per-coupon events, and from s₀ on each inclusion–exclusion term is a
+geometric series in s, summed in closed form in 60-digit decimal
+(`_kcoupon_tail_sum`).
 
 Second, the simulation: each round draws a uniform random ordering of n nodes
 and its n−1 consecutive pairs are added as edges (or arcs) of K_n; the count
@@ -40,7 +41,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 
@@ -119,79 +119,44 @@ def _kcoupon_alternating(m: int, k: int) -> float:
         # advance C(m-i, k) -> C(m-i-1, k); zero once the top index drops below k
         top = m - i - 1
         cmik = cmik * (top - k + 1) // (top + 1) if top >= k else 0
-    return float(Fraction(acc, scale))
+    return acc / scale
 
 
 def _kcoupon_tail_sum(m: int, k: int) -> float:
-    """E[X] = Σ_{s≥0} Pr(X > s), evaluated only where it is informative.
+    """E[X] = Σ_{s≥0} Pr(X > s), with the sum over s in closed form.
 
-    For s with m·q₁ˢ ≥ 40, negative association of the "coupon i still
-    missing" indicators gives Pr(X ≤ s) ≤ (1−q₁ˢ)^m ≤ exp(−m·q₁ˢ) ≤ 1e−17,
-    so Pr(X > s) is taken as 1.  Past m·q₁ˢ ≤ 1e−18 the union bound kills the
-    survival probability and the remaining mass (≤ 1e−18·m/k draws) is
-    dropped.  In between, the inclusion–exclusion survival series is summed
-    in 190-bit fixed point with per-s incremental updates of the powers.
+    Below s₀, where m·q₁ˢ ≥ 40, negative association of the "coupon i still
+    missing" indicators gives Pr(X ≤ s) ≤ exp(−m·q₁ˢ) ≤ 1e−17, so Pr(X > s)
+    is taken as 1.  From s₀ on, Pr(X > s) = Σᵢ (−1)^{i+1} C(m,i) qᵢˢ by
+    inclusion–exclusion, and term i's geometric series over s ≥ s₀ sums to
+    C(m,i) qᵢ^{s₀} / (1 − qᵢ) ≤ (λⁱ/i!)·(m/k), with λ = m·q₁^{s₀} < 40.  The
+    sum stops eight terms past the first bound below 1e−30, and 60 digits keep
+    about 40 through the cancellation (the largest term is below e^λ·m/k).
     """
-    shift = 190
-    cmk = math.comb(m, k)
     log_q1 = math.log(m - k) - math.log(m)  # q1 = (m-k)/m
-
     s_low = 0
-    if m * math.exp(log_q1) >= 40.0:  # otherwise even s=1 is in the window
-        s_low = int(math.floor(math.log(m / 40.0) / -log_q1))
-        s_low = max(s_low, 0)
+    if m * math.exp(log_q1) >= 40.0:  # otherwise even s=1 is informative
+        s_low = math.floor(math.log(m / 40.0) / -log_q1)
+    s0 = s_low + 1
 
-    # choose how many series terms matter: b_i(s) ≤ λ^i / i! with λ = m q1^s ≤ 40·q1⁻¹-ish
-    lam = m * math.exp(log_q1 * (s_low + 1))
-    lam = max(lam, 1e-30)
+    lam = m * math.exp(log_q1 * s0)
     i_max = 1
-    log_term = math.log(lam)
-    log_bound = log_term
-    while log_bound > math.log(1e-30) and i_max < min(m, 500):
+    log_bound = math.log(lam)
+    while log_bound > math.log(1e-30):
         i_max += 1
         log_bound += math.log(lam) - math.log(i_max)
-    i_max = min(max(i_max + 8, 8), m)
+    i_max = min(i_max + 8, m - k)  # q_i = 0 once m − i < k
 
-    # per-draw miss ratios q_i = C(m−i,k)/C(m,k) and whole terms
-    # P_i = C(m,i)·q_i^{s_start}, all scaled by 2^shift.  The term is always
-    # assembled from a 60-digit decimal power, whose precision is relative
-    # (or from an exact rational floor when s_start = 1), so that a huge
-    # C(m,i) never amplifies a fixed-point flooring error.
-    s_start = s_low + 1
-    unit = 1 << shift
-    q_scaled: list[int] = []
-    powers: list[int] = []
-    cmi = 1
-    cmik = cmk
+    total = 0
     with localcontext() as ctx:
         ctx.prec = 60
+        cmi = q = Decimal(1)  # C(m, i) and q_i, updated incrementally
         for i in range(1, i_max + 1):
-            cmi = cmi * (m - i + 1) // i
-            cmik = cmik * (m - i + 1 - k) // (m - i + 1) if m - i + 1 > k else 0
-            if cmik == 0:
-                break  # q_i = 0: this and every later term vanish identically
-            q_scaled.append((cmik << shift) // cmk)
-            if s_start == 1:
-                powers.append((cmi * cmik << shift) // cmk)
-            else:
-                powers.append(int(cmi * (Decimal(cmik) / cmk) ** s_start * unit))
-
-    total_scaled = 0
-    survival_cut = unit // 10**19  # truncate once Pr(X>s) is below 1e-19
-    while True:
-        while powers and powers[-1] == 0:  # dead terms stay dead
-            powers.pop()
-            q_scaled.pop()
-        survival = 0
-        for i, p in enumerate(powers, start=1):
-            survival += p if i % 2 == 1 else -p
-        if survival <= survival_cut:
-            break
-        survival = min(survival, unit)  # clamp fixed-point jitter at Pr ≤ 1
-        total_scaled += survival
-        for idx, q in enumerate(q_scaled):
-            powers[idx] = (powers[idx] * q) >> shift
-    return (s_low + 1) + float(Fraction(total_scaled, unit))
+            cmi = cmi * (m - i + 1) / i
+            q = q * (m - i + 1 - k) / (m - i + 1)
+            term = cmi * q ** s0 / (1 - q)
+            total += term if i % 2 == 1 else -term
+    return s0 + float(total)
 
 
 def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
@@ -200,7 +165,16 @@ def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
     ``method`` is ``"auto"`` (alternating sum up to m = 3000, tail-sum
     beyond), or explicitly ``"alternating"`` / ``"tail"`` — the two routes are
     independent and exist to cross-check each other.
+
+    >>> kcoupon_expectation(3, 2)
+    2.5
+    >>> kcoupon_expectation(300, 60, "alternating")
+    28.699494003401753
+    >>> kcoupon_expectation(300, 60, "tail")
+    28.699494003401753
     """
+    if method not in ("auto", "alternating", "tail"):
+        raise ValueError(f"unknown method {method!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
     if not (1 <= k <= m):
@@ -211,9 +185,7 @@ def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
         method = "alternating" if m <= ALTERNATING_LIMIT else "tail"
     if method == "alternating":
         return _kcoupon_alternating(m, k)
-    if method == "tail":
-        return _kcoupon_tail_sum(m, k)
-    raise ValueError(f"unknown method {method!r}")
+    return _kcoupon_tail_sum(m, k)
 
 
 # ---------------------------------------------------------------------------

@@ -196,22 +196,21 @@ def _class_count(colors: list[np.ndarray]) -> int:
     return int(max(c.max() for c in colors)) + 1
 
 
-def _check_budget(graphs: list[Graph], k: int, budget: int) -> None:
+def _check_budget(graphs: list[Graph], k: int) -> None:
     for g in graphs:
         size = g.node_count ** k
-        if size > budget:
+        if size > DEFAULT_TUPLE_BUDGET:
             raise ValueError(
                 f"tuple refinement needs {size} k-tuples for N={g.node_count}, "
-                f"k={k}, exceeding the budget of {budget}; raise `budget` "
-                "explicitly if you really want this"
+                f"k={k}, exceeding the budget of {DEFAULT_TUPLE_BUDGET}"
             )
 
 
-def _joint_histograms(graphs: list[Graph], k: int, budget: int) -> list[ColorHistogram]:
+def _joint_histograms(graphs: list[Graph], k: int) -> list[ColorHistogram]:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > 1:
-        _check_budget(graphs, k, budget)
+        _check_budget(graphs, k)
     return [
         ColorHistogram(k=k, iterations=tuple(_histogram(c) for c in rounds))
         for rounds in _refine_joint(graphs, k)
@@ -225,26 +224,25 @@ def _joint_histograms(graphs: list[Graph], k: int, budget: int) -> list[ColorHis
 
 def wl1_refine(g: Graph) -> ColorHistogram:
     """Classic node colour refinement of a single graph."""
-    return _joint_histograms([g], 1, DEFAULT_TUPLE_BUDGET)[0]
+    return _joint_histograms([g], 1)[0]
 
 
-def kwl_refine(g: Graph, k: int, budget: int = DEFAULT_TUPLE_BUDGET) -> ColorHistogram:
+def kwl_refine(g: Graph, k: int) -> ColorHistogram:
     """Tuple colour refinement of a single graph (k=1 falls back to nodes)."""
-    return _joint_histograms([g], k, budget)[0]
+    return _joint_histograms([g], k)[0]
 
 
-def wl_distinguish(g1: Graph, g2: Graph, k: int,
-                   budget: int = DEFAULT_TUPLE_BUDGET) -> bool:
+def wl_distinguish(g1: Graph, g2: Graph, k: int) -> bool:
     """True when refinement at level ``k`` separates the two graphs.
 
     The graphs are refined jointly so colour ids are comparable.  Requires
     equal node counts — on different sizes the question answers itself and a
     caller comparing histograms would silently get nonsense.
     """
-    return wl_compare(g1, g2, k, budget)[0]
+    return wl_compare(g1, g2, k)[0]
 
 
-def wl_compare(g1: Graph, g2: Graph, k: int, budget: int = DEFAULT_TUPLE_BUDGET
+def wl_compare(g1: Graph, g2: Graph, k: int
                ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
     """The verdict of :func:`wl_distinguish` and both graphs'
     ``kwl_refine(g, k).class_counts``, all from one joint refinement.
@@ -259,7 +257,7 @@ def wl_compare(g1: Graph, g2: Graph, k: int, budget: int = DEFAULT_TUPLE_BUDGET
         raise ValueError(
             f"refinement compares graphs on equal node counts, got "
             f"{g1.node_count} and {g2.node_count} nodes")
-    h1, h2 = _joint_histograms([g1, g2], k, budget)
+    h1, h2 = _joint_histograms([g1, g2], k)
     rounds = max(len(h1.iterations), len(h2.iterations))
     separated = any(
         h1.iterations[min(t, len(h1.iterations) - 1)]

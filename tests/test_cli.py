@@ -294,9 +294,9 @@ def test_wl_refines_once(monkeypatch, capsys):
     calls = []
     joint = wl._joint_histograms
 
-    def spy(graphs, k, budget):
+    def spy(graphs, k):
         calls.append(len(graphs))
-        return joint(graphs, k, budget)
+        return joint(graphs, k)
 
     monkeypatch.setattr(wl, "_joint_histograms", spy)
     code, out, _ = run_cli(capsys, "wl", "--a", "rooks", "--b", "shrikhande", "--k", "2")

@@ -52,14 +52,26 @@ def test_kcoupon_validates():
         kcoupon_expectation(3, 0)
     with pytest.raises(ValueError):
         kcoupon_expectation(3, 4)
+    with pytest.raises(ValueError):  # before the k == m shortcut answers 1.0
+        kcoupon_expectation(3, 3, "bogus")
 
 
 def test_kcoupon_routes_agree():
-    # both methods apply when k is large enough for the tail bound
-    for m, k in [(300, 60), (500, 45), (1000, 120), (2500, 2499)]:
+    # both methods apply when k is large enough for the tail bound; m − k
+    # near 40 is where the tail route starts its sum at s₀ = 1 or later
+    switch = [(m, m - g) for m in (100, 1000, 2000) for g in (39, 40, 41)]
+    for m, k in [(300, 60), (500, 45), (1000, 120), (2500, 2499), *switch]:
         a = kcoupon_expectation(m, k, method="alternating")
         t = kcoupon_expectation(m, k, method="tail")
-        assert a == pytest.approx(t, rel=1e-10), (m, k)
+        assert a == pytest.approx(t, rel=1e-13), (m, k)
+
+
+def test_kcoupon_tail_values_are_pinned():
+    # beyond the alternating route's reach only the exact values tell a
+    # change in the tail route's rounding from none
+    assert kcoupon_expectation(499500, 999) == 6842.944551982233
+    assert kcoupon_expectation(4950, 99) == 450.2062860283978
+    assert kcoupon_expectation(3160, 79) == 341.6403102097984
 
 
 def test_kcoupon_huge_m_uses_tail():

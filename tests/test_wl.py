@@ -177,5 +177,5 @@ def test_compare_cuts_the_graph_that_stabilises_first():
     assert verdict
     assert counts_star == (1, 2, 2) == kwl_refine(star, 1).class_counts
     assert counts_path == kwl_refine(path, 1).class_counts
-    joint_star, _ = _joint_histograms([star, path], 1, DEFAULT_TUPLE_BUDGET)
+    joint_star, _ = _joint_histograms([star, path], 1)
     assert joint_star.class_counts == (1, 2, 2, 2)  # the joint run went on
