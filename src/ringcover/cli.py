@@ -27,7 +27,7 @@ from .graph_core import (
 )
 from .perm_group import arrangements, coverage_report, generate_group, sigma
 from .pg_aggregate import distinguish_by_aggregation
-from .rw_estimator import WalkConfig, estimate_incidence_triangles
+from .rw_estimator import WalkConfig, estimate_walks
 from .substructure import (
     clustering_coefficients,
     incidence_4cliques,
@@ -157,12 +157,9 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
         raise ValueError(f"--seeds must be at least 1, got {ns.seeds}")
     g = _load_graph(ns.infile, ns.gen, ns.seed)
     augment = {"auto": None, "on": True, "off": False}[ns.augment]
-    rows = []
-    for i in range(ns.seeds):
-        cfg = WalkConfig(steps=ns.r, seed=ns.seed + i, augment=augment,
-                         start_policy=ns.start)
-        res = estimate_incidence_triangles(g, ns.node, cfg)
-        rows.append([ns.seed + i, res.z0, res.y1, res.y2, res.augmented])
+    cfg = WalkConfig(steps=ns.r, seed=ns.seed, augment=augment, start_policy=ns.start)
+    rows = [[ns.seed + i, res.z0, res.y1, res.y2, res.augmented]
+            for i, res in enumerate(estimate_walks(g, ns.node, cfg, ns.seeds))]
     mean_z0 = sum(r[1] for r in rows) / len(rows)
     result = {
         "node": ns.node,
@@ -298,6 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
+        if ns.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {ns.seed}")
         return ns.func(ns)
     except (ValueError, OSError, MemoryError) as exc:
         # MemoryError: numpy refuses at once an array that can never fit,

@@ -33,6 +33,14 @@ only the positions of the labels those pairs touch, which is exact in
 distribution (`_cover_time_one` gives the argument) and costs a few µs per
 ordering.  Trial t is seeded as ``(seed, t)``, and every buffer it reads is
 reset or overwritten first, so it depends on nothing else.
+
+At small n a trial costs little more than its per-call overhead, so while
+the first blocks of at least two trials fit `BATCH_KEY_BUDGET` keys, the
+trials are taken that many at a time and their first blocks are keyed,
+sorted and scattered together (`_first_blocks`).  Each trial still draws
+its block from its own generator with one call of the size it draws alone,
+and redraws its tied rows in the same order, so every trial reads the same
+random words as alone: its time, and the work counters, are unchanged.
 """
 
 from __future__ import annotations
@@ -195,6 +203,10 @@ def kcoupon_expectation(m: int, k: int, method: str = "auto") -> float:
 #: Above this n the pair id ``u·n + v`` no longer fits in int32.
 MAX_SIMULATED_N = 46340
 
+#: Most keys (orderings × n) in one batch of first blocks drawn together,
+#: which only small n reach (see `_cover_times`).
+BATCH_KEY_BUDGET = 2**12
+
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -270,34 +282,51 @@ def _shuffle_rows(rng: np.random.Generator, rows: np.ndarray, labels: np.ndarray
     block is keyed in chunks of about 2¹⁷ labels, which keeps the keys
     small beside the block.
     """
-    n = len(labels)
-    mask = labels.dtype.type((1 << (n - 1).bit_length()) - 1)
     raw = rng.bit_generator.random_raw
-    step = max(1, 2**17 // n)
+    step = max(1, 2**17 // len(labels))
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
-        chunk[:], redo = _keyed_orderings(raw, len(chunk), labels, mask)
-        while redo.size:
-            chunk[redo], tied = _keyed_orderings(raw, redo.size, labels, mask)
-            redo = redo[tied]
+        keys = _random_keys(raw, len(chunk), labels)
+        tied = _keyed_orderings(keys, labels)
+        chunk[:] = keys
+        _redraw_tied(raw, chunk, tied, labels)
 
 
-def _keyed_orderings(raw: Callable[[int], np.ndarray], count: int, labels: np.ndarray,
-                     mask: np.integer) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` rows of ``labels``, each sorted by fresh random keys drawn
-    from ``raw``, and the indices of the rows in which two keys tied."""
+def _random_keys(raw: Callable[[int], np.ndarray], count: int,
+                 labels: np.ndarray) -> np.ndarray:
+    """``count`` rows of random words for `_keyed_orderings`, from one
+    ``raw`` call of whole 64-bit words (a half word left over is dropped)."""
     n = len(labels)
     keys = raw(-(-count * n * labels.itemsize // 8)).view(labels.dtype)
-    keys = keys[: count * n].reshape(count, n)
+    return keys[: count * n].reshape(count, n)
+
+
+def _keyed_orderings(keys: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Turn ``keys``, random words of shape ``(…, n)``, into rows of
+    ``labels`` sorted by the keys' random bits, in place, and return the
+    flat indices of the rows (over the leading axes) in which two keys
+    tied."""
+    mask = labels.dtype.type((1 << (len(labels) - 1).bit_length()) - 1)  # label bits
     keys &= ~mask
     keys |= labels
-    keys.sort(axis=1)
+    keys.sort(axis=-1)
     # keys with equal random bits sort next to each other; one count over
     # the block comes first, as at small n a tie is rare
-    close = (keys[:, 1:] ^ keys[:, :-1]) <= mask
-    tied = np.flatnonzero(close.any(axis=1)) if np.count_nonzero(close) else _NO_ROWS
+    close = (keys[..., 1:] ^ keys[..., :-1]) <= mask
+    tied = np.flatnonzero(close.any(axis=-1)) if np.count_nonzero(close) else _NO_ROWS
     keys &= mask
-    return keys, tied
+    return tied
+
+
+def _redraw_tied(raw: Callable[[int], np.ndarray], rows: np.ndarray, redo: np.ndarray,
+                 labels: np.ndarray) -> None:
+    """Redraw the rows ``rows[redo]`` from ``raw``, all of them with one
+    draw, then the rows of that draw that tied again, until none ties."""
+    while redo.size:
+        keys = _random_keys(raw, redo.size, labels)
+        tied = _keyed_orderings(keys, labels)
+        rows[redo] = keys
+        redo = redo[tied]
 
 
 def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
@@ -316,16 +345,17 @@ def _rows_to_cover(ids: np.ndarray, covered: np.ndarray) -> int:
 
 
 def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
-                    perm_buf: np.ndarray, ids_buf: np.ndarray, first_block: int,
-                    next_block: int, covered: np.ndarray, blank: np.ndarray,
+                    perm_buf: np.ndarray, ids_buf: np.ndarray, block: int,
+                    next_block: int, covered: np.ndarray, draws: int,
                     labels: np.ndarray) -> tuple[int, int, int]:
     """Covering time of one trial, with the rows drawn whole and the rows
-    drawn in the tail phase.
+    drawn in the tail phase, counting the ``draws`` rows drawn before.
 
-    ``covered`` is indexed by pair id ``u·n + v`` and starts as ``blank``,
-    which marks the ids that name no pair as covered already, so the trial
-    is done when every entry is set.  Whole orderings are shuffled, one
-    block at a time, until a block boundary leaves at most n/4 pairs
+    ``covered`` is indexed by pair id ``u·n + v`` and holds the coverage
+    after those rows: ids that name no pair are set from the start (see
+    `_blank_coverage`), so the trial is done when every entry is set.
+    Whole orderings are shuffled, ``block`` rows and then ``next_block``
+    rows at a time, until a block boundary leaves at most n/4 pairs
     uncovered; those pairs touch at most n/2 labels K, and from then on
     `_tail_phase` draws only the positions of K.
 
@@ -345,22 +375,11 @@ def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
     - Shrinking K at a block boundary is the same argument again, and rows
       of the last block past the covering ordering are never looked at.
     """
-    np.copyto(covered, blank)
-    uncovered = n * (n - 1) if directed else n * (n - 1) // 2
-    draws = 0
-    block = first_block
+    uncovered = covered.size - np.count_nonzero(covered)
     while 4 * uncovered > n:
         rows = perm_buf[:block]
         _shuffle_rows(rng, rows, labels)
-        a, b = rows[:, :-1], rows[:, 1:]
-        ids = ids_buf[:block]
-        if directed:
-            np.multiply(a, n, out=ids)
-        else:  # min·n + max = min·(n−1) + a + b
-            np.minimum(a, b, out=ids)
-            ids *= n - 1
-            ids += a
-        ids += b
+        ids = _pair_ids(rows, n, directed, ids_buf[:block])
         snapshot = covered.copy()
         covered[ids] = True
         left = covered.size - np.count_nonzero(covered)
@@ -375,6 +394,20 @@ def _cover_time_one(n: int, directed: bool, rng: np.random.Generator,
     return draws + extra, draws, tail
 
 
+def _pair_ids(rows: np.ndarray, n: int, directed: bool, out: np.ndarray) -> np.ndarray:
+    """Pair ids of the n−1 neighbours in each ordering of ``rows``, an
+    int32 array of shape ``(…, n)``, written to ``out`` of shape ``(…, n−1)``."""
+    a, b = rows[..., :-1], rows[..., 1:]
+    if directed:
+        np.multiply(a, n, out=out)
+    else:  # min·n + max = min·(n−1) + a + b
+        np.minimum(a, b, out=out)
+        out *= n - 1
+        out += a
+    out += b
+    return out
+
+
 def _blank_coverage(n: int, directed: bool) -> np.ndarray:
     """Pair-id table with every id that names no pair marked covered: the
     diagonal, and for unordered pairs also every id u·n + v with u > v."""
@@ -384,11 +417,54 @@ def _blank_coverage(n: int, directed: bool) -> np.ndarray:
     return grid.reshape(-1)
 
 
+def _first_blocks(n: int, directed: bool, gens: list[np.random.Generator], block: int,
+                  blank: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``block`` whole orderings of several trials, one generator
+    each in ``gens``, keyed, sorted and scattered together.
+
+    Returns each trial's covering time when its block covers every pair
+    (one more than the latest row at which a pair is first seated), 0 when
+    it does not, and each trial's ``(n·n,)`` coverage table after the block.
+    Every trial draws its block's words with one ``random_raw`` call, then
+    redraws its tied rows in the order `_shuffle_rows` does, so it consumes
+    the same words and gets the same orderings as it would alone.  Only
+    used while ``block · n`` keys fit one `_shuffle_rows` chunk and the
+    labels are uint32.
+    """
+    keys = np.stack([_random_keys(g.bit_generator.random_raw, block, labels) for g in gens])
+    tied = _keyed_orderings(keys, labels)
+    if tied.size:
+        trial, row = np.divmod(tied, block)
+        for i in np.unique(trial):
+            _redraw_tied(gens[i].bit_generator.random_raw, keys[i], row[trial == i], labels)
+    shape = (len(gens), block, n - 1)
+    ids = _pair_ids(keys.view(np.int32), n, directed, np.empty(shape, dtype=np.int32))
+    ids += (np.arange(len(gens), dtype=np.int32) * (n * n))[:, None, None]
+    row_of = np.broadcast_to(np.arange(block, dtype=np.int32)[:, None], shape)
+    first = np.full((len(gens), n * n), block, dtype=np.int32)
+    # flat operands: ufunc.at runs its fast loop only without broadcasting
+    np.minimum.at(first.reshape(-1), ids.reshape(-1), row_of.reshape(-1))
+    latest = first[:, ~blank].max(axis=1)
+    return np.where(latest < block, latest + 1, 0), (first < block) | blank
+
+
 def _cover_times(n: int, directed: bool, seed: int,
                  trial_ids: range) -> tuple[np.ndarray, int, int]:
     """Covering times of the trials ``trial_ids``, with the orderings drawn
-    whole and in the tail summed over them.  Trial t is seeded as
-    ``(seed, t)`` and starts from reset buffers."""
+    whole and in the tail summed over them.
+
+    Trial t is seeded as ``(seed, t)`` and starts from reset buffers.  When
+    the keys of a first block (first block · n) fit at least twice into
+    `BATCH_KEY_BUDGET` (undirected n ≤ 26, directed n ≤ 18), the trials
+    are taken ``width`` = budget // (first block · n) at a time and
+    `_first_blocks` draws their first blocks together; a trial that its
+    first block leaves uncovered goes on alone in `_cover_time_one` from
+    its coverage table, with its own generator and the next block.  A
+    trial reads the same random words in the same order on both routes, so
+    its time and its counters do not depend on the route.  Larger n run
+    every trial alone, where a first block is big enough that the per-call
+    overhead hardly counts.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > MAX_SIMULATED_N:
@@ -402,23 +478,44 @@ def _cover_times(n: int, directed: bool, seed: int,
     perm_buf = np.empty((max(first_block, next_block), n), dtype=np.int32)
     ids_buf = np.empty((perm_buf.shape[0], n - 1), dtype=np.int32)
     blank = _blank_coverage(n, directed)
-    covered = np.empty_like(blank)
     labels = _key_labels(n)
     times = np.empty(len(trial_ids), dtype=np.int64)
     whole = tail = 0
-    for i, t in enumerate(trial_ids):
-        rng = np.random.default_rng((seed, t))
-        times[i], w, d = _cover_time_one(n, directed, rng, perm_buf, ids_buf,
-                                         first_block, next_block, covered, blank, labels)
-        whole += w
-        tail += d
+    width = BATCH_KEY_BUDGET // (first_block * n)
+    if width < 2:  # one trial at a time
+        covered = np.empty_like(blank)
+        for i, t in enumerate(trial_ids):
+            np.copyto(covered, blank)
+            times[i], w, d = _cover_time_one(n, directed, np.random.default_rng((seed, t)),
+                                             perm_buf, ids_buf, first_block, next_block,
+                                             covered, 0, labels)
+            whole += w
+            tail += d
+        return times, whole, tail
+    for start in range(0, len(trial_ids), width):
+        gens = [np.random.default_rng((seed, t)) for t in trial_ids[start:start + width]]
+        done, covered = _first_blocks(n, directed, gens, first_block, blank, labels)
+        times[start:start + width] = done
+        whole += first_block * int(np.count_nonzero(done))
+        for i in np.flatnonzero(done == 0):
+            times[start + i], w, d = _cover_time_one(n, directed, gens[i], perm_buf, ids_buf,
+                                                     next_block, next_block, covered[i],
+                                                     first_block, labels)
+            whole += w
+            tail += d
     return times, whole, tail
 
 
 def sample_cover_times(n: int, directed: bool, trials: int, seed: int) -> np.ndarray:
     """Covering times for all trials.  Trial ``t`` depends only on
     ``(seed, t)``, so any partition of the trial range reproduces the same
-    numbers — reductions over them are order-insensitive by construction."""
+    numbers — reductions over them are order-insensitive by construction.
+
+    >>> sample_cover_times(3, False, 16, 11).tolist()
+    [2, 3, 3, 2, 2, 2, 2, 2, 2, 2, 5, 2, 3, 2, 4, 2]
+    >>> sample_cover_times(4, True, 12, 5).tolist()
+    [8, 13, 17, 15, 13, 9, 9, 10, 7, 16, 9, 8]
+    """
     return _cover_times(n, directed, seed, range(trials))[0]
 
 
@@ -427,6 +524,13 @@ def simulate_cover_complete(n: int, directed: bool, trials: int, seed: int) -> S
 
     Each trial counts how many orderings were drawn before the union of their
     consecutive pairs (arcs when directed) covers every pair of nodes.
+
+    >>> r = simulate_cover_complete(12, False, 200, 3)
+    >>> r.mean_cover_time, r.whole_orderings, r.tail_orderings
+    (26.745, 5800, 944)
+    >>> r = simulate_cover_complete(20, True, 40, 9)
+    >>> r.mean_cover_time, r.whole_orderings, r.tail_orderings
+    (127.15, 4840, 736)
     """
     times, whole, tail = _cover_times(n, directed, seed, range(trials))
     mean = float(times.mean())

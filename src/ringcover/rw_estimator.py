@@ -48,6 +48,7 @@ __all__ = [
     "expected_moments",
     "stationary_moments",
     "estimate_incidence_triangles",
+    "estimate_walks",
 ]
 
 
@@ -185,8 +186,17 @@ def stationary_moments(nb: InducedNeighborhood) -> tuple[Fraction, Fraction]:
 
 def estimate_incidence_triangles(g: Graph, v: int, cfg: WalkConfig) -> EstimateResult:
     """Walk-based estimate of the number of triangles through node ``v``."""
+    return estimate_walks(g, v, cfg, 1)[0]
+
+
+def estimate_walks(g: Graph, v: int, cfg: WalkConfig, walks: int) -> list[EstimateResult]:
+    """The estimates of ``walks`` walks at node ``v``, walk i seeded
+    ``cfg.seed + i``: each equals `estimate_incidence_triangles` at that
+    seed, but the walk graph is built once for all of them."""
     if g.directed:
         raise ValueError("the estimator is defined for undirected graphs")
+    if walks < 1:
+        raise ValueError(f"walks must be at least 1, got {walks}")
     d0 = g.degree(v)
     if d0 < 1:
         raise ValueError(f"node {v} is isolated; no neighbourhood to walk")
@@ -203,33 +213,45 @@ def estimate_incidence_triangles(g: Graph, v: int, cfg: WalkConfig) -> EstimateR
     degrees = [len(x) for x in nbrs]
     center = nb.center
     center_degree = degrees[center]  # d0, or d0+1 when augmented
-
-    rng = random.Random(cfg.seed)
-    if cfg.start_policy == "uniform":
-        x = int(rng.random() * walk_graph.node_count)
-    else:  # degree_proportional
-        total = sum(degrees)
-        pick = rng.random() * total
-        acc = 0.0
-        x = walk_graph.node_count - 1
-        for i, d in enumerate(degrees):
-            acc += d
-            if pick < acc:
-                x = i
-                break
-
     burn_in = max(16, center_degree)
     r = cfg.steps
-    # Reduce the recorded steps X_1..X_r, the path after the burn-in.
-    # np.cumsum adds in path order, so both sums are bit for bit the running
-    # sums of a step-by-step loop (a pairwise np.sum would not be).
-    steps = np.array(_walk(nbrs, x, burn_in + r, rng)[burn_in:])
+
+    def recorded_steps(seed: int) -> list[int]:
+        """X_1..X_r of the walk seeded ``seed``, the path after the burn-in."""
+        rng = random.Random(seed)
+        if cfg.start_policy == "uniform":
+            x = int(rng.random() * walk_graph.node_count)
+        else:  # degree_proportional
+            total = sum(degrees)
+            pick = rng.random() * total
+            acc = 0.0
+            x = walk_graph.node_count - 1
+            for i, d in enumerate(degrees):
+                acc += d
+                if pick < acc:
+                    x = i
+                    break
+        return _walk(nbrs, x, burn_in + r, rng)[burn_in:]
+
     deg = np.array(degrees, dtype=np.float64)
-    before, mid, after = steps[:-2], steps[1:-1], steps[2:]
-    closes = adj[before, after] & ((before == center) | (mid == center) | (after == center))
-    y1 = float(np.cumsum(np.where(closes, deg[mid], 0.0))[-1]) / (r - 2)
-    y2 = float(np.cumsum(1.0 / deg[steps])[-1]) / r
-    z0 = (center_degree + 1) / 6.0 * y1 / y2
-    if augment:
-        z0 -= d0
-    return EstimateResult(z0=z0, y1=y1, y2=y2, steps_used=r, augmented=augment)
+    results = []
+    seeds = range(cfg.seed, cfg.seed + walks)
+    per_pass = max(1, 2**12 // r)  # walks whose paths are held at once
+    for start in range(0, walks, per_pass):
+        steps = np.array([recorded_steps(s) for s in seeds[start:start + per_pass]])
+        # cumsum adds along each path in order, so both sums are bit for bit
+        # the running sums of a step-by-step loop (a pairwise sum would not
+        # be).
+        before, mid, after = steps[:, :-2], steps[:, 1:-1], steps[:, 2:]
+        closes = adj[before, after] & ((before == center) | (mid == center) | (after == center))
+        y1_sums = np.where(closes, deg[mid], 0.0).cumsum(axis=1)[:, -1].tolist()
+        y2_sums = (1.0 / deg[steps]).cumsum(axis=1)[:, -1].tolist()
+        for y1_sum, y2_sum in zip(y1_sums, y2_sums):
+            y1 = y1_sum / (r - 2)
+            y2 = y2_sum / r
+            z0 = (center_degree + 1) / 6.0 * y1 / y2
+            if augment:
+                z0 -= d0
+            results.append(EstimateResult(z0=z0, y1=y1, y2=y2, steps_used=r,
+                                          augmented=augment))
+    return results

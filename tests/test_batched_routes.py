@@ -10,7 +10,8 @@ are the earlier implementations, kept here as oracles:
   terms in another order);
 * the counts equal the int64 matrix powers exactly;
 * the walk estimate equals the step-by-step running sums field for field,
-  on neighbour lists equal to the per-node `Graph.neighbors` queries;
+  on neighbour lists equal to the per-node `Graph.neighbors` queries, and
+  so does every walk of a batch run over one walk graph;
 * colour refinement gives the colours of the node loop (k = 1) and the tuple
   loop (k ≥ 2) round by round, ids included.
 """
@@ -18,6 +19,7 @@ are the earlier implementations, kept here as oracles:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -54,6 +56,7 @@ from ringcover.rw_estimator import (
     WalkConfig,
     _neighbor_lists,
     estimate_incidence_triangles,
+    estimate_walks,
 )
 from ringcover.substructure import (
     incidence_4cliques,
@@ -480,6 +483,23 @@ def test_walk_estimate_equals_running_sums_on_any_graph(g, data):
                                                              "degree_proportional"])))
     # long sums of 1/d are where a pairwise reduction would differ in the last bits
     assert estimate_incidence_triangles(g, v, cfg) == reference_estimate(g, v, cfg)
+
+
+@pytest.mark.parametrize("g,v", WALK_GRAPHS)
+@pytest.mark.parametrize("augment", [None, True, False])
+@pytest.mark.parametrize("start_policy", ["uniform", "degree_proportional"])
+@pytest.mark.parametrize("steps,walks", [(3, 1), (4, 9), (300, 30), (5000, 2)])
+def test_walk_batch_equals_one_walk_per_seed(g, v, augment, start_policy, steps, walks):
+    # 30 walks of 300 steps are reduced in passes of 13, 13 and 4 walks, and
+    # walks of 5000 steps one at a time
+    cfg = WalkConfig(steps=steps, seed=11, augment=augment, start_policy=start_policy)
+    expected = [reference_estimate(g, v, replace(cfg, seed=11 + i)) for i in range(walks)]
+    assert estimate_walks(g, v, cfg, walks) == expected
+
+
+def test_walk_batch_needs_a_walk():
+    with pytest.raises(ValueError, match="walks must be at least 1"):
+        estimate_walks(PAW, 0, WalkConfig(steps=10), 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -256,6 +256,24 @@ def test_zero_seeds_is_reported(capsys):
     assert err.startswith("error:") and "--seeds" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--gen", "complete:4", "--kind", "triangle"],
+    ["cover", "--n", "5"],
+    ["wl", "--a", "cycle:6", "--b", "cycle:6"],
+    ["estimate", "--gen", "complete:4", "--node", "0", "--r", "10"],
+    ["estimate", "--gen", "er:10:0.5", "--node", "0", "--r", "10"],
+    ["coupon", "--n", "4", "--trials", "3"],
+    ["distinguish", "--a", "cycle:6", "--b", "cycle:6"],
+])
+def test_negative_seed_is_reported(capsys, argv):
+    # every subcommand takes --seed, and all of them refuse a negative one
+    # alike, whether or not they would draw from it
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be at least 0, got -1\n"
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
+
+
 @pytest.mark.parametrize("spec", ["5:3", "4:8:-1", "4:8:0", "3:x", "1:2:3:4"])
 def test_bad_coupon_range_is_reported(capsys, spec):
     code, out, err = run_cli(capsys, "coupon", "--n", spec, "--trials", "3")

@@ -243,7 +243,8 @@ def test_shuffled_rows_are_uniform_over_all_orderings(n, rows, seed):
 
 class ScriptedBits:
     """A stand-in generator whose ``bit_generator.random_raw`` returns the
-    given words, one array per call, and records the sizes asked for."""
+    given words, one fresh array per call as numpy's does (the caller keys
+    it in place), and records the sizes asked for."""
 
     def __init__(self, *words: np.ndarray):
         self.words = list(words)
@@ -252,7 +253,7 @@ class ScriptedBits:
 
     def random_raw(self, size: int) -> np.ndarray:
         self.sizes.append(size)
-        return self.words.pop(0).view(np.uint64)
+        return self.words.pop(0).view(np.uint64).copy()
 
 
 def test_a_row_with_tied_keys_is_redrawn():
@@ -291,3 +292,47 @@ def test_trial_does_not_depend_on_the_trials_before_it():
         alone = [coupon_sim._cover_times(n, directed, 7, range(t, t + 1))[0][0]
                  for t in range(8)]
         assert alone == times.tolist()
+
+
+def test_batched_first_blocks_equal_trials_run_alone(monkeypatch):
+    # n = 2..33 spans both routes, and the switch at a batch width of 2
+    # (undirected n = 26 | 27, directed n = 18 | 19); a zero budget runs
+    # every trial alone, first block included
+    ranges = [range(40), range(5, 9), range(37, 38)]
+    cases = [(n, directed, trials) for n in range(2, 34) for directed in (False, True)
+             for trials in ranges]
+    batched = [coupon_sim._cover_times(n, directed, 3, trials) for n, directed, trials in cases]
+    monkeypatch.setattr(coupon_sim, "BATCH_KEY_BUDGET", 0)
+    for (n, directed, trials), (times, whole, tail) in zip(cases, batched):
+        alone, whole_alone, tail_alone = coupon_sim._cover_times(n, directed, 3, trials)
+        assert times.tolist() == alone.tolist(), (n, directed, trials)
+        assert (whole, tail) == (whole_alone, tail_alone), (n, directed, trials)
+
+
+def test_batched_first_blocks_redraw_a_tied_row_as_alone(monkeypatch):
+    def keys(*high):  # three labels: random parts above two label bits
+        return (np.array(high, dtype=np.uint32) << 2) | 3
+
+    order = {(0, 1, 2): (1, 2, 3), (1, 2, 0): (3, 1, 2), (2, 0, 1): (2, 3, 1)}
+    tie = (5, 9, 5)  # labels 0 and 2 tie
+
+    def block(*rows):
+        return np.concatenate([keys(*(tie if r is None else order[r])) for r in rows])
+
+    # n = 3 draws blocks of 8 and then 16 orderings.  Trial 0 ties its first
+    # row, which is redrawn to 1 2 0; with 0 1 2 at row 5 it is covered at 6.
+    # Trial 1 seats 0 1 2 alone for a whole block and 2 0 1 at row 3 after it.
+    words = [
+        (block(None, *[(1, 2, 0)] * 4, (0, 1, 2), *[(1, 2, 0)] * 2), keys(3, 1, 2, 0)),
+        (block(*[(0, 1, 2)] * 8), block(*[(0, 1, 2)] * 3, (2, 0, 1), *[(0, 1, 2)] * 12)),
+    ]
+    runs = {}
+    for budget in (coupon_sim.BATCH_KEY_BUDGET, 0):
+        monkeypatch.setattr(coupon_sim, "BATCH_KEY_BUDGET", budget)
+        stubs = [ScriptedBits(*w) for w in words]
+        monkeypatch.setattr(np.random, "default_rng", lambda key: stubs[key[1]])
+        times, whole, tail = coupon_sim._cover_times(3, False, 0, range(2))
+        assert not any(stub.words for stub in stubs)
+        runs[budget] = times.tolist(), whole, tail, [stub.sizes for stub in stubs]
+    assert runs[0] == runs[coupon_sim.BATCH_KEY_BUDGET]
+    assert runs[0] == ([6, 12], 8 + 24, 0, [[12, 2], [12, 24]])
